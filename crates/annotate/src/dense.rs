@@ -305,6 +305,11 @@ impl DenseAnnotator {
         &self.store
     }
 
+    /// Give the (possibly grown) label store back, dropping the memo.
+    pub fn into_store(self) -> Arc<LabelStore> {
+        self.store
+    }
+
     /// The cost model in use.
     pub fn cost_model(&self) -> CostModel {
         self.cost

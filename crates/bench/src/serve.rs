@@ -6,9 +6,9 @@
 //!
 //! 1. **Registration phase** — register `tenants` monitor sessions
 //!    (quick: 1000, full: 2000) spread over eight spec families
-//!    (reservoir/stratified × hash/dense × offer paths, distinct base
-//!    KGs). Families exercise the registry's catalog interning: every
-//!    tenant in a family shares one materialized label store.
+//!    (reservoir/stratified, each over its own base KG and oracle).
+//!    Families exercise the registry's catalog interning: every tenant in
+//!    a family shares one materialized label store.
 //! 2. **Traffic phase** — each tenant receives a deterministic
 //!    insert/retract/revise event script (one event per request, so the
 //!    request-partitioning invariant is on the hot path) plus an
@@ -26,8 +26,7 @@
 //! records tenants held, request throughput, and latency percentiles
 //! for both phases, plus the check outcomes.
 
-use kg_eval::dynamic::reservoir::OfferMode;
-use kg_eval::session::{Engine, EvaluatorKind, SessionRegistry, SessionSpec};
+use kg_eval::session::{EvaluatorKind, SessionRegistry, SessionSpec};
 use kg_eval::EvalConfig;
 use kg_model::retract::{KgEvent, Retraction};
 use kg_model::update::UpdateBatch;
@@ -114,21 +113,9 @@ pub(crate) fn spec_for(seed: u64, tenant: usize) -> SessionSpec {
     } else {
         EvaluatorKind::Stratified
     };
-    let engine = if (f / 2).is_multiple_of(2) {
-        Engine::Hash
-    } else {
-        Engine::Dense
-    };
-    let offer_mode = if f >= 4 && f.is_multiple_of(2) {
-        OfferMode::PerItem
-    } else {
-        OfferMode::Batched
-    };
     let base = 96 + 8 * f;
     SessionSpec {
         kind,
-        engine,
-        offer_mode,
         m: 5,
         config: EvalConfig::default(),
         // Derived seeds must stay JSON-exact (≤ 2^53); the API rejects
@@ -203,16 +190,8 @@ pub(crate) fn spec_json(spec: &SessionSpec) -> String {
         }
         EvaluatorKind::Stratified => r#""kind":"stratified""#.to_string(),
     };
-    let engine = match spec.engine {
-        Engine::Hash => "hash",
-        Engine::Dense => "dense",
-    };
-    let offer = match spec.offer_mode {
-        OfferMode::PerItem => "per_item",
-        OfferMode::Batched => "batched",
-    };
     format!(
-        r#"{{{kind},"engine":"{engine}","offer_mode":"{offer}","m":{},"seed":{},"oracle_accuracy":{},"oracle_seed":{},"base_sizes":[{}]}}"#,
+        r#"{{{kind},"m":{},"seed":{},"oracle_accuracy":{},"oracle_seed":{},"base_sizes":[{}]}}"#,
         spec.m,
         spec.seed,
         spec.oracle_accuracy,

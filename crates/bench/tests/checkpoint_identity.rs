@@ -1,27 +1,23 @@
 //! Checkpoint/restore byte-identity — the signature invariant of the
 //! session-scoped monitor runtime.
 //!
-//! For every evaluator kind (RS and SS), both annotation engines (hash
-//! and dense), and both reservoir offer paths (per-item and batched), a
-//! monitor checkpointed after *any* prefix of a churn stream and
-//! restored into a fresh registry must finish the stream with estimates
-//! byte-identical to the uninterrupted run — not approximately equal,
-//! `f64::to_bits` equal. Wired into the CI determinism job alongside
-//! `offer_identity` and `churn_identity`.
+//! For both evaluator kinds (RS and SS), a monitor checkpointed after
+//! *any* prefix of a churn stream and restored into a fresh registry must
+//! finish the stream with estimates byte-identical to the uninterrupted
+//! run — not approximately equal, `f64::to_bits` equal. Wired into the CI
+//! determinism job alongside `offer_identity` and `churn_identity`, which
+//! cover engine and offer-path identity at the monitor level.
 
 use kg_eval::config::EvalConfig;
-use kg_eval::dynamic::reservoir::OfferMode;
-use kg_eval::session::{Engine, EvaluatorKind, SessionRegistry, SessionSpec};
+use kg_eval::session::{EvaluatorKind, SessionRegistry, SessionSpec};
 use kg_model::retract::{KgEvent, Retraction};
 use kg_model::update::UpdateBatch;
 
 const SEED: u64 = 20190923;
 
-fn spec(kind: EvaluatorKind, engine: Engine, offer_mode: OfferMode) -> SessionSpec {
+fn spec(kind: EvaluatorKind) -> SessionSpec {
     SessionSpec {
         kind,
-        engine,
-        offer_mode,
         m: 5,
         config: EvalConfig::default(),
         seed: SEED,
@@ -97,31 +93,11 @@ fn interrupted_at(spec: &SessionSpec, k: usize) -> Vec<Bits> {
     out
 }
 
-fn combos() -> Vec<(&'static str, SessionSpec)> {
-    let mut out = Vec::new();
-    for engine in [Engine::Hash, Engine::Dense] {
-        out.push((
-            "rs/per_item",
-            spec(
-                EvaluatorKind::Reservoir { capacity: 60 },
-                engine,
-                OfferMode::PerItem,
-            ),
-        ));
-        out.push((
-            "rs/batched",
-            spec(
-                EvaluatorKind::Reservoir { capacity: 60 },
-                engine,
-                OfferMode::Batched,
-            ),
-        ));
-        out.push((
-            "ss",
-            spec(EvaluatorKind::Stratified, engine, OfferMode::Batched),
-        ));
-    }
-    out
+fn combos() -> [(&'static str, SessionSpec); 2] {
+    [
+        ("rs", spec(EvaluatorKind::Reservoir { capacity: 60 })),
+        ("ss", spec(EvaluatorKind::Stratified)),
+    ]
 }
 
 #[test]
@@ -133,8 +109,7 @@ fn every_checkpoint_position_restores_byte_identically() {
             let got = interrupted_at(&spec, k);
             assert_eq!(
                 got, want,
-                "{name}/{:?} diverged when checkpointed after event {k}",
-                spec.engine
+                "{name} diverged when checkpointed after event {k}"
             );
         }
     }
@@ -156,6 +131,6 @@ fn checkpoints_are_stable_bytes() {
         let fresh = SessionRegistry::new();
         let rid = fresh.restore(&payload).expect("restore");
         let again = fresh.checkpoint(rid).expect("re-checkpoint");
-        assert_eq!(payload, again, "{name}/{:?} payload unstable", spec.engine);
+        assert_eq!(payload, again, "{name} payload unstable");
     }
 }

@@ -139,19 +139,14 @@ impl ReservoirEvaluator {
     }
 
     /// Rebuild an evaluator around restored [`ReservoirState`] — the
-    /// checkpoint/restore path. `m`, `config`, and `offer_mode` are spec,
-    /// not state: the session record carries them alongside the state
-    /// bytes.
-    pub fn from_state(
-        state: ReservoirState,
-        m: usize,
-        config: EvalConfig,
-        offer_mode: OfferMode,
-    ) -> Self {
+    /// checkpoint/restore path, on the default [`OfferMode::Batched`]
+    /// path. `m` and `config` are spec, not state: the session record
+    /// carries them alongside the state bytes.
+    pub fn from_state(state: ReservoirState, m: usize, config: EvalConfig) -> Self {
         ReservoirEvaluator {
             m,
             config,
-            offer_mode,
+            offer_mode: OfferMode::Batched,
             state,
             scratch: Vec::with_capacity(m),
         }

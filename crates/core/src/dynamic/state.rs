@@ -440,8 +440,8 @@ mod tests {
             _ => panic!("reservoir state expected"),
         };
         let cfg = EvalConfig::default();
-        let orig = ReservoirEvaluator::from_state(a, 5, cfg, Default::default());
-        let restored = ReservoirEvaluator::from_state(b, 5, cfg, Default::default());
+        let orig = ReservoirEvaluator::from_state(a, 5, cfg);
+        let restored = ReservoirEvaluator::from_state(b, 5, cfg);
         let (ea, eb) = (orig.estimate(), restored.estimate());
         assert_eq!(ea.mean.to_bits(), eb.mean.to_bits());
         assert_eq!(ea.var_of_mean.to_bits(), eb.var_of_mean.to_bits());

@@ -5,16 +5,18 @@
 //! complete, explicit state of one accuracy monitor — an
 //! `Arc<`[`LabelStore`]`>` gross-population record, an extractable
 //! [`MonitorState`], and an RNG cursor — while heavyweight machinery (the
-//! [`TrialExecutor`], and one [`DenseArenaPool`] per distinct base KG) is
-//! shared across tenants through an interned catalog.
+//! [`TrialExecutor`], and one materialized base [`LabelStore`] per distinct
+//! base KG) is shared across tenants through an interned catalog.
 //!
 //! # Request model and the checkpoint invariant
 //!
 //! Every request (a batch of [`KgEvent`]s, an estimate read, an audit)
 //! rebuilds its evaluator from the session's [`MonitorState`] and drives
-//! it with a **fresh annotator** over the session's store, after
-//! re-applying the session's merged tombstones so the live coordinate view
-//! matches the uninterrupted stream. Estimates are a pure function of
+//! it with a **fresh [`DenseAnnotator`]** that takes the session's store
+//! for the request and hands it back grown, after re-applying the
+//! session's merged tombstones so the live coordinate view matches the
+//! uninterrupted stream. Every session runs this one engine on the
+//! batched reservoir offer path. Estimates are a pure function of
 //! `(MonitorState, RNG cursor, oracle labels under the live view)`, so a
 //! session checkpointed mid-stream ([`SessionRegistry::checkpoint`]) and
 //! restored in a fresh process ([`SessionRegistry::restore`]) produces
@@ -32,9 +34,12 @@
 //! [`SessionRegistry::checkpoint`] emits a `KGSN` v1 record
 //! ([`kg_stats::codec`]): the full [`SessionSpec`], the monitor-state
 //! payload (`KGMS`), the RNG cursor, the insert-batch log, the merged
-//! tombstones, and stream counters. The label store is *not* serialized —
-//! restore re-materializes it from the oracle spec and replays the batch
-//! log, which is byte-deterministic. Decoders reject unknown versions,
+//! tombstones, and stream counters. Two spec bytes are reserved: they
+//! once tagged an annotation engine and a reservoir offer path, so v1
+//! encoders write `0` and `1` there and decoders accept `0` or `1` in
+//! each, reject anything else, and otherwise ignore them. The label store
+//! is *not* serialized — restore re-materializes it from the oracle spec
+//! and replays the batch log, which is byte-deterministic. Decoders reject unknown versions,
 //! truncated payloads, and structurally inconsistent records with typed
 //! [`CodecError`]s; they never panic on hostile input.
 //!
@@ -61,7 +66,7 @@
 
 use crate::config::EvalConfig;
 use crate::dynamic::monitor::audit_sharded;
-use crate::dynamic::reservoir::{OfferMode, ReservoirEvaluator};
+use crate::dynamic::reservoir::ReservoirEvaluator;
 use crate::dynamic::state::{MonitorState, StratifiedState};
 use crate::dynamic::stratified::StratifiedIncremental;
 use crate::dynamic::IncrementalEvaluator;
@@ -69,11 +74,10 @@ use crate::executor::TrialExecutor;
 use crate::framework::Evaluator;
 use crate::sharded::{ShardDesign, ShardReplayReport, ShardedReplay};
 use crate::spill::{CheckpointStore, SpillError};
-use kg_annotate::annotator::{Annotator, SimulatedAnnotator};
+use kg_annotate::annotator::Annotator;
 use kg_annotate::cost::CostModel;
 use kg_annotate::dense::DenseAnnotator;
 use kg_annotate::label_store::LabelStore;
-use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::{LabelOracle, RemOracle};
 use kg_model::implicit::ImplicitKg;
 use kg_model::retract::{map_live_offset, KgEvent, Retraction};
@@ -98,10 +102,9 @@ const VERSION: u16 = 1;
 
 const TAG_RESERVOIR: u8 = 0;
 const TAG_STRATIFIED: u8 = 1;
-const TAG_HASH: u8 = 0;
-const TAG_DENSE: u8 = 1;
-const TAG_PER_ITEM: u8 = 0;
-const TAG_BATCHED: u8 = 1;
+/// The reserved v1 spec bytes (see the module docs): what encoders write,
+/// and the decode label of each.
+const RESERVED: [(u8, &str); 2] = [(0, "session.engine tag"), (1, "session.offer_mode tag")];
 
 /// Which incremental evaluator a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,27 +118,12 @@ pub enum EvaluatorKind {
     Stratified,
 }
 
-/// Which annotation engine backs a session's requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Oracle-backed hash-map engine ([`SimulatedAnnotator`]).
-    #[default]
-    Hash,
-    /// Dense arena engine ([`DenseAnnotator`]), grown in lock-step with
-    /// the session's evolving population.
-    Dense,
-}
-
 /// Immutable description of a tenant session — everything needed to
 /// rebuild its evaluator and label store from scratch.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// Evaluator strategy.
     pub kind: EvaluatorKind,
-    /// Annotation engine.
-    pub engine: Engine,
-    /// Reservoir offer path (ignored by [`EvaluatorKind::Stratified`]).
-    pub offer_mode: OfferMode,
     /// Second-stage sample size per cluster visit.
     pub m: usize,
     /// Evaluation loop configuration.
@@ -253,12 +241,7 @@ impl Monitor {
                     capacity_spec,
                     "state/spec kind mismatch is rejected at restore"
                 );
-                Monitor::Reservoir(ReservoirEvaluator::from_state(
-                    rs,
-                    spec.m,
-                    spec.config,
-                    spec.offer_mode,
-                ))
+                Monitor::Reservoir(ReservoirEvaluator::from_state(rs, spec.m, spec.config))
             }
             MonitorState::Stratified(ss) => {
                 Monitor::Stratified(StratifiedIncremental::from_state(ss, spec.m, spec.config))
@@ -353,7 +336,9 @@ impl Session {
     /// later event may retract from a cluster minted by an earlier one.
     fn validate_events(&self, events: &[KgEvent]) -> Result<(), SessionError> {
         let mut pending_sizes: Vec<u32> = Vec::new();
-        let mut dead = self.merged_dead.clone();
+        // Offsets this request kills, checked alongside `merged_dead` so a
+        // request costs O(its own retractions), not O(session history).
+        let mut killed: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         let base_clusters = self.store.num_clusters();
         for event in events {
             if let Some(r) = event.retracted() {
@@ -369,14 +354,15 @@ impl Session {
                             "retraction targets a cluster past the population extent",
                         ));
                     };
-                    let set = dead.entry(*cluster).or_default();
+                    let dead = self.merged_dead.get(cluster);
+                    let set = killed.entry(*cluster).or_default();
                     for &off in offsets.iter() {
                         if u64::from(off) >= raw {
                             return Err(SessionError::InvalidEvent(
                                 "retraction offset exceeds the cluster's raw size",
                             ));
                         }
-                        if !set.insert(off) {
+                        if dead.is_some_and(|d| d.contains(&off)) || !set.insert(off) {
                             return Err(SessionError::InvalidEvent("triple is already retracted"));
                         }
                     }
@@ -395,43 +381,21 @@ impl Session {
         self.validate_events(events)?;
         let state = mem::replace(&mut self.state, placeholder_state());
         let mut monitor = Monitor::from_state(state, &self.spec);
-        let merged = self.merged_retraction();
-        match self.spec.engine {
-            Engine::Hash => {
-                let oracle = self.oracle;
-                let mut annotator = SimulatedAnnotator::new(&oracle, CostModel::default());
-                if let Some(r) = &merged {
-                    annotator.retract(r);
-                }
-                for event in events {
-                    monitor
-                        .as_dyn_mut()
-                        .apply_event(event, &mut annotator, &mut self.rng);
-                }
-                self.cost_seconds += annotator.seconds();
-                for event in events {
-                    if let Some(batch) = event.inserted() {
-                        Arc::make_mut(&mut self.store).extend_with_batch(batch, &oracle);
-                    }
-                }
-            }
-            Engine::Dense => {
-                let oracle: Arc<dyn LabelOracle + Send + Sync> = Arc::new(self.oracle);
-                let mut annotator =
-                    DenseAnnotator::growable(self.store.clone(), CostModel::default(), oracle);
-                if let Some(r) = &merged {
-                    annotator.retract(r);
-                }
-                for event in events {
-                    monitor
-                        .as_dyn_mut()
-                        .apply_event(event, &mut annotator, &mut self.rng);
-                }
-                self.cost_seconds += annotator.seconds();
-                // Growth went through copy-on-write; adopt the grown store.
-                self.store = annotator.store().clone();
-            }
+        let oracle: Arc<dyn LabelOracle + Send + Sync> = Arc::new(self.oracle);
+        // The annotator takes the store itself, not a second reference, so
+        // growth extends it in place once the session owns it alone.
+        let store = mem::take(&mut self.store);
+        let mut annotator = DenseAnnotator::growable(store, CostModel::default(), oracle);
+        if let Some(r) = self.merged_retraction() {
+            annotator.retract(&r);
         }
+        for event in events {
+            monitor
+                .as_dyn_mut()
+                .apply_event(event, &mut annotator, &mut self.rng);
+        }
+        self.cost_seconds += annotator.seconds();
+        self.store = annotator.into_store();
         for event in events {
             if let Some(r) = event.retracted() {
                 for (cluster, offsets) in r.entries() {
@@ -564,14 +528,9 @@ fn put_spec(e: &mut Encoder, spec: &SessionSpec) {
         }
         EvaluatorKind::Stratified => e.put_u8(TAG_STRATIFIED),
     }
-    e.put_u8(match spec.engine {
-        Engine::Hash => TAG_HASH,
-        Engine::Dense => TAG_DENSE,
-    });
-    e.put_u8(match spec.offer_mode {
-        OfferMode::PerItem => TAG_PER_ITEM,
-        OfferMode::Batched => TAG_BATCHED,
-    });
+    for (byte, _) in RESERVED {
+        e.put_u8(byte);
+    }
     e.put_usize(spec.m);
     e.put_f64(spec.config.alpha);
     e.put_f64(spec.config.target_moe);
@@ -596,24 +555,11 @@ fn get_spec(d: &mut Decoder<'_>) -> Result<SessionSpec, CodecError> {
             })
         }
     };
-    let engine = match d.get_u8("session.engine")? {
-        TAG_HASH => Engine::Hash,
-        TAG_DENSE => Engine::Dense,
-        _ => {
-            return Err(CodecError::Invalid {
-                what: "session.engine tag",
-            })
+    for (_, what) in RESERVED {
+        if d.get_u8(what)? > 1 {
+            return Err(CodecError::Invalid { what });
         }
-    };
-    let offer_mode = match d.get_u8("session.offer_mode")? {
-        TAG_PER_ITEM => OfferMode::PerItem,
-        TAG_BATCHED => OfferMode::Batched,
-        _ => {
-            return Err(CodecError::Invalid {
-                what: "session.offer_mode tag",
-            })
-        }
-    };
+    }
     let m = d.get_usize("session.m")?;
     let config = EvalConfig {
         alpha: d.get_f64("session.alpha")?,
@@ -628,8 +574,6 @@ fn get_spec(d: &mut Decoder<'_>) -> Result<SessionSpec, CodecError> {
     let base_sizes = d.get_u32_vec("session.base_sizes")?;
     Ok(SessionSpec {
         kind,
-        engine,
-        offer_mode,
         m,
         config,
         seed,
@@ -786,15 +730,9 @@ fn validate_spec(spec: &SessionSpec) -> Result<(), SessionError> {
     Ok(())
 }
 
-/// Interned per-base-KG shared machinery: one materialized label store and
-/// one dense arena pool, shared by every tenant registering the same
-/// `(base sizes, oracle)` — a thousand identical registrations build the
-/// store once.
-struct CatalogEntry {
-    store: Arc<LabelStore>,
-    pool: DenseArenaPool,
-}
-
+/// Catalog key of a base KG: `(base sizes, oracle accuracy bits, oracle
+/// seed)`. Every tenant registering the same key shares one materialized
+/// label store — a thousand identical registrations build it once.
 type CatalogKey = (Vec<u32>, u64, u64);
 
 /// Lifecycle policy of a registry with a [`CheckpointStore`]. The default
@@ -868,7 +806,7 @@ impl Drop for SessionGuard<'_> {
 }
 
 /// Registry of tenant monitor sessions sharing one [`TrialExecutor`] and
-/// per-base-KG [`DenseArenaPool`]s.
+/// per-base-KG label stores.
 ///
 /// All methods take `&self`; sessions are independently locked, so
 /// requests against different tenants proceed concurrently and the
@@ -878,7 +816,7 @@ impl Drop for SessionGuard<'_> {
 /// the module docs.
 pub struct SessionRegistry {
     executor: TrialExecutor,
-    catalog: Mutex<BTreeMap<CatalogKey, Arc<CatalogEntry>>>,
+    catalog: Mutex<BTreeMap<CatalogKey, Arc<LabelStore>>>,
     sessions: Mutex<BTreeMap<u64, Slot>>,
     next_id: AtomicU64,
     store: Option<CheckpointStore>,
@@ -1002,12 +940,12 @@ impl SessionRegistry {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn catalog_entry(
+    fn catalog_store(
         &self,
         spec: &SessionSpec,
         base: &ImplicitKg,
         oracle: &RemOracle,
-    ) -> Arc<CatalogEntry> {
+    ) -> Arc<LabelStore> {
         let key = (
             spec.base_sizes.clone(),
             spec.oracle_accuracy.to_bits(),
@@ -1016,11 +954,7 @@ impl SessionRegistry {
         let mut catalog = self.catalog.lock().unwrap();
         catalog
             .entry(key)
-            .or_insert_with(|| {
-                let store = Arc::new(LabelStore::materialize(base, oracle));
-                let pool = DenseArenaPool::new(store.clone(), CostModel::default());
-                Arc::new(CatalogEntry { store, pool })
-            })
+            .or_insert_with(|| Arc::new(LabelStore::materialize(base, oracle)))
             .clone()
     }
 
@@ -1115,8 +1049,7 @@ impl SessionRegistry {
         validate_spec(&record.spec)?;
         let oracle = RemOracle::new(record.spec.oracle_accuracy, record.spec.oracle_seed);
         let base = ImplicitKg::new(record.spec.base_sizes.clone())?;
-        let entry = self.catalog_entry(&record.spec, &base, &oracle);
-        let mut store = entry.store.clone();
+        let mut store = self.catalog_store(&record.spec, &base, &oracle);
         for sizes in &record.batch_log {
             let batch = UpdateBatch::from_sizes(sizes.clone())?;
             Arc::make_mut(&mut store).extend_with_batch(&batch, &oracle);
@@ -1282,8 +1215,7 @@ impl SessionRegistry {
     }
 
     /// Evaluate the base KG under the spec and return the initial monitor
-    /// state. The base evaluation never grows the population, so the
-    /// dense path safely leases an arena from the shared catalog pool.
+    /// state.
     fn evaluate_base(
         spec: &SessionSpec,
         base: &ImplicitKg,
@@ -1292,18 +1224,15 @@ impl SessionRegistry {
         rng: &mut StdRng,
     ) -> Result<MonitorState, SessionError> {
         match spec.kind {
-            EvaluatorKind::Reservoir { capacity } => {
-                Ok(ReservoirEvaluator::evaluate_base_with_mode(
-                    base,
-                    capacity,
-                    spec.m,
-                    spec.config,
-                    spec.offer_mode,
-                    annotator,
-                    rng,
-                )
-                .into_state())
-            }
+            EvaluatorKind::Reservoir { capacity } => Ok(ReservoirEvaluator::evaluate_base(
+                base,
+                capacity,
+                spec.m,
+                spec.config,
+                annotator,
+                rng,
+            )
+            .into_state()),
             EvaluatorKind::Stratified => {
                 let index = Arc::new(PopulationIndex::from_population(base)?);
                 let report = Evaluator::twcs(spec.m).run_with_annotator(
@@ -1327,31 +1256,20 @@ impl SessionRegistry {
         validate_spec(&spec)?;
         let oracle = RemOracle::new(spec.oracle_accuracy, spec.oracle_seed);
         let base = ImplicitKg::new(spec.base_sizes.clone())?;
-        let entry = self.catalog_entry(&spec, &base, &oracle);
+        let store = self.catalog_store(&spec, &base, &oracle);
         let mut rng = StdRng::seed_from_u64(spec.seed);
-        let (state, cost_seconds) = match spec.engine {
-            Engine::Hash => {
-                let mut annotator = SimulatedAnnotator::new(&oracle, CostModel::default());
-                let state = Self::evaluate_base(&spec, &base, &oracle, &mut annotator, &mut rng)?;
-                (state, annotator.seconds())
-            }
-            Engine::Dense => {
-                let mut lease = entry.pool.checkout();
-                let annotator = lease.arena_mut();
-                let state = Self::evaluate_base(&spec, &base, &oracle, annotator, &mut rng)?;
-                (state, annotator.seconds())
-            }
-        };
+        let mut annotator = DenseAnnotator::new(store, CostModel::default());
+        let state = Self::evaluate_base(&spec, &base, &oracle, &mut annotator, &mut rng)?;
         let id = self.insert(Session {
             spec,
             oracle,
             state,
             rng,
-            store: entry.store.clone(),
+            cost_seconds: annotator.seconds(),
+            store: annotator.into_store(),
             batch_log: Vec::new(),
             merged_dead: BTreeMap::new(),
             events_applied: 0,
-            cost_seconds,
         });
         if self.policy.write_through {
             if let Ok(guard) = self.acquire(id) {
@@ -1469,8 +1387,6 @@ mod tests {
     fn rs_spec() -> SessionSpec {
         SessionSpec {
             kind: EvaluatorKind::Reservoir { capacity: 40 },
-            engine: Engine::Hash,
-            offer_mode: OfferMode::Batched,
             m: 5,
             config: EvalConfig::default(),
             seed: 72019,
@@ -1483,8 +1399,6 @@ mod tests {
     fn ss_spec() -> SessionSpec {
         SessionSpec {
             kind: EvaluatorKind::Stratified,
-            engine: Engine::Hash,
-            offer_mode: OfferMode::Batched,
             ..rs_spec()
         }
     }
@@ -1574,38 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_engine_checkpoint_matches_hash_engine() {
-        let hash = rs_spec();
-        let dense = SessionSpec {
-            engine: Engine::Dense,
-            ..hash.clone()
-        };
-        let registry = SessionRegistry::new();
-        let hid = registry.register(hash).unwrap();
-        let did = registry.register(dense).unwrap();
-        for event in stream() {
-            let h = registry
-                .apply_events(hid, std::slice::from_ref(&event))
-                .unwrap();
-            let d = registry.apply_events(did, &[event]).unwrap();
-            assert_eq!(bits(&h), bits(&d), "engines must agree byte-for-byte");
-        }
-        // And a dense restore keeps agreeing.
-        let snapshot = registry.checkpoint(did).unwrap();
-        let rid = registry.restore(&snapshot).unwrap();
-        let extra = KgEvent::Insert(UpdateBatch::from_sizes(vec![4; 20]).unwrap());
-        let d = registry
-            .apply_events(did, std::slice::from_ref(&extra))
-            .unwrap();
-        let r = registry
-            .apply_events(rid, std::slice::from_ref(&extra))
-            .unwrap();
-        let h = registry.apply_events(hid, &[extra]).unwrap();
-        assert_eq!(bits(&d), bits(&r));
-        assert_eq!(bits(&d), bits(&h));
-    }
-
-    #[test]
     fn request_partitioning_does_not_change_estimates() {
         let events = stream();
         let one_shot = SessionRegistry::new();
@@ -1645,6 +1527,42 @@ mod tests {
         ));
         assert_eq!(bits(&before), bits(&registry.estimate(id).unwrap()));
         assert_eq!(registry.estimate(id).unwrap().events_applied, 0);
+    }
+
+    #[test]
+    fn double_kills_are_rejected_within_and_across_requests() {
+        let registry = SessionRegistry::new();
+        let id = registry.register(rs_spec()).unwrap();
+        let kill = |cluster: u32, offset: u32| {
+            KgEvent::Retract(Retraction::new(vec![(cluster, vec![offset])]).unwrap())
+        };
+        let already = |r: Result<EstimateReport, SessionError>| matches!(r, Err(SessionError::InvalidEvent(w)) if w.contains("already retracted"));
+        // Twice within one request, the second time through a revision
+        // that also targets a cluster minted earlier in the request.
+        let insert = KgEvent::Insert(UpdateBatch::from_sizes(vec![2; 3]).unwrap());
+        let revise = KgEvent::Revise(
+            Retraction::new(vec![(3, vec![0]), (401, vec![1])]).unwrap(),
+            UpdateBatch::from_sizes(vec![1]).unwrap(),
+        );
+        assert!(already(
+            registry.apply_events(id, &[insert.clone(), kill(401, 1), revise])
+        ));
+        assert_eq!(registry.estimate(id).unwrap().events_applied, 0);
+        // Killed by an earlier request: a fresh kill in the same request
+        // does not get the stale one through, and nothing is applied.
+        let first = registry.apply_events(id, &[insert, kill(3, 0)]).unwrap();
+        assert_eq!(first.events_applied, 2);
+        assert!(already(
+            registry.apply_events(id, &[kill(4, 0), kill(3, 0)])
+        ));
+        let after = registry.estimate(id).unwrap();
+        assert_eq!(bits(&after), bits(&first));
+        assert_eq!(after.events_applied, 2);
+        assert_eq!(after.live_triples, first.live_triples);
+        // The untouched offsets of both clusters stay killable.
+        registry
+            .apply_events(id, &[kill(3, 1), kill(4, 0)])
+            .unwrap();
     }
 
     #[test]

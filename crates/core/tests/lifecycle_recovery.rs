@@ -16,9 +16,8 @@
 //!    client-side re-registration, every tenant's estimate stream matches
 //!    a fault-free replay bit for bit, under eviction churn.
 
-use kg_eval::dynamic::reservoir::OfferMode;
 use kg_eval::session::{
-    Engine, EvaluatorKind, LifecyclePolicy, SessionError, SessionRegistry, SessionSpec,
+    EvaluatorKind, LifecyclePolicy, SessionError, SessionRegistry, SessionSpec,
 };
 use kg_eval::{CheckpointStore, EvalConfig, TrialExecutor};
 use kg_model::retract::{KgEvent, Retraction};
@@ -44,7 +43,7 @@ fn lifecycle_registry(dir: &std::path::Path, max_live: usize) -> SessionRegistry
 }
 
 /// The kg-bench serve/chaos tenant families, reproduced locally: eight
-/// spec shapes cycling through evaluator kind, engine, and offer mode.
+/// spec shapes cycling through evaluator kind, base KG, and oracle.
 fn spec_for(seed: u64, tenant: usize) -> SessionSpec {
     let f = tenant % 8;
     let kind = if f.is_multiple_of(2) {
@@ -54,21 +53,9 @@ fn spec_for(seed: u64, tenant: usize) -> SessionSpec {
     } else {
         EvaluatorKind::Stratified
     };
-    let engine = if (f / 2).is_multiple_of(2) {
-        Engine::Hash
-    } else {
-        Engine::Dense
-    };
-    let offer_mode = if f >= 4 && f.is_multiple_of(2) {
-        OfferMode::PerItem
-    } else {
-        OfferMode::Batched
-    };
     let base = 96 + 8 * f;
     SessionSpec {
         kind,
-        engine,
-        offer_mode,
         m: 5,
         config: EvalConfig::default(),
         seed: seed ^ ((tenant as u64) * 0x9E37_79B9),

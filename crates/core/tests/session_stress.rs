@@ -1,12 +1,11 @@
 //! Concurrency stress for [`kg_eval::session`]: N tenants interleaved on
-//! one shared registry (one `TrialExecutor`, interned label stores, shared
-//! dense arena pools) must produce estimate streams **byte-identical** to
-//! each tenant run sequentially in its own isolated registry — at 1 and 4
-//! executor workers, and regardless of thread interleaving.
+//! one shared registry (one `TrialExecutor`, interned label stores) must
+//! produce estimate streams **byte-identical** to each tenant run
+//! sequentially in its own isolated registry — at 1 and 4 executor
+//! workers, and regardless of thread interleaving.
 
 use kg_eval::config::EvalConfig;
-use kg_eval::dynamic::reservoir::OfferMode;
-use kg_eval::session::{Engine, EvaluatorKind, SessionRegistry, SessionSpec};
+use kg_eval::session::{EvaluatorKind, SessionRegistry, SessionSpec};
 use kg_eval::TrialExecutor;
 use kg_model::retract::{KgEvent, Retraction};
 use kg_model::update::UpdateBatch;
@@ -21,20 +20,8 @@ fn spec_for(tenant: usize) -> SessionSpec {
     } else {
         EvaluatorKind::Stratified
     };
-    let engine = if (tenant / 2).is_multiple_of(2) {
-        Engine::Hash
-    } else {
-        Engine::Dense
-    };
-    let offer_mode = if tenant.is_multiple_of(4) {
-        OfferMode::PerItem
-    } else {
-        OfferMode::Batched
-    };
     SessionSpec {
         kind,
-        engine,
-        offer_mode,
         m: 5,
         config: EvalConfig::default(),
         seed: 9000 + tenant as u64,

@@ -12,9 +12,8 @@
 //! 3. **The store moves arbitrary bytes faithfully** — save/load/ids
 //!    round-trip any payload (the atomic-write layer is content-blind).
 
-use kg_eval::dynamic::reservoir::OfferMode;
 use kg_eval::session::{
-    Engine, EvaluatorKind, LifecyclePolicy, SessionError, SessionRegistry, SessionSpec,
+    EvaluatorKind, LifecyclePolicy, SessionError, SessionRegistry, SessionSpec,
 };
 use kg_eval::{CheckpointStore, EvalConfig, TrialExecutor};
 use kg_model::retract::{KgEvent, Retraction};
@@ -50,8 +49,6 @@ fn spec_from(base_sizes: Vec<u32>, seed: u64, stratified: bool) -> SessionSpec {
                 capacity: 1 + (seed % 32) as usize,
             }
         },
-        engine: Engine::Hash,
-        offer_mode: OfferMode::Batched,
         m: 4,
         config: EvalConfig::default(),
         seed,

@@ -22,10 +22,7 @@
 use crate::http::Request;
 use crate::json::{parse, Json};
 use kg_eval::config::EvalConfig;
-use kg_eval::dynamic::reservoir::OfferMode;
-use kg_eval::session::{
-    Engine, EstimateReport, EvaluatorKind, SessionError, SessionRegistry, SessionSpec,
-};
+use kg_eval::session::{EstimateReport, EvaluatorKind, SessionError, SessionRegistry, SessionSpec};
 use kg_eval::ShardReplayReport;
 use kg_model::retract::{KgEvent, Retraction};
 use kg_model::update::UpdateBatch;
@@ -169,16 +166,6 @@ fn spec_from_json(doc: &Json) -> Result<SessionSpec, String> {
         Some("stratified") => EvaluatorKind::Stratified,
         _ => return Err("kind must be \"reservoir\" or \"stratified\"".into()),
     };
-    let engine = match doc.get("engine").and_then(Json::as_str) {
-        None | Some("hash") => Engine::Hash,
-        Some("dense") => Engine::Dense,
-        Some(_) => return Err("engine must be \"hash\" or \"dense\"".into()),
-    };
-    let offer_mode = match doc.get("offer_mode").and_then(Json::as_str) {
-        None | Some("batched") => OfferMode::Batched,
-        Some("per_item") => OfferMode::PerItem,
-        Some(_) => return Err("offer_mode must be \"batched\" or \"per_item\"".into()),
-    };
     let defaults = EvalConfig::default();
     let config = EvalConfig {
         alpha: opt_f64(doc, "alpha")?.unwrap_or(defaults.alpha),
@@ -189,8 +176,6 @@ fn spec_from_json(doc: &Json) -> Result<SessionSpec, String> {
     };
     Ok(SessionSpec {
         kind,
-        engine,
-        offer_mode,
         m: opt_u64(doc, "m")?.unwrap_or(5) as usize,
         config,
         seed: opt_u64(doc, "seed")?.unwrap_or(0),
@@ -397,6 +382,30 @@ mod tests {
         let (status, body) = handle(&registry, &request("POST", "/kg", &fixed));
         assert_eq!(status, 200, "{body}");
         assert_eq!(body.get("id").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn retired_engine_and_offer_mode_fields_are_ignored() {
+        let fixed = register_body().replace(",0,", ",1,");
+        let legacy = fixed.replace(
+            r#""kind":"reservoir","#,
+            r#""kind":"reservoir","engine":"hash","offer_mode":"per_item","#,
+        );
+        assert_ne!(legacy, fixed);
+        let estimate = |body: &str| {
+            let registry = SessionRegistry::new();
+            let (status, reply) = handle(&registry, &request("POST", "/kg", body));
+            assert_eq!(status, 200, "{reply}");
+            let id = reply.get("id").unwrap().as_u64().unwrap();
+            let batch = r#"{"batches":[[3,3,3,3]]}"#;
+            let (status, est) = handle(
+                &registry,
+                &request("POST", &format!("/kg/{id}/batch"), batch),
+            );
+            assert_eq!(status, 200, "{est}");
+            ["mean_bits", "var_bits"].map(|k| est.get(k).unwrap().as_str().unwrap().to_string())
+        };
+        assert_eq!(estimate(&legacy), estimate(&fixed));
     }
 
     #[test]

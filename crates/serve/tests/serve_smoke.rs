@@ -129,7 +129,7 @@ fn num_field(body: &str, key: &str) -> String {
     body[start..end].to_string()
 }
 
-const SPEC: &str = r#"{"kind":"reservoir","capacity":50,"engine":"hash","m":5,"seed":20190923,"oracle_accuracy":0.9,"oracle_seed":17,"base_sizes":[SIZES]}"#;
+const SPEC: &str = r#"{"kind":"reservoir","capacity":50,"m":5,"seed":20190923,"oracle_accuracy":0.9,"oracle_seed":17,"base_sizes":[SIZES]}"#;
 
 fn spec() -> String {
     let sizes: Vec<String> = (0..300).map(|i| (1 + i % 8).to_string()).collect();
