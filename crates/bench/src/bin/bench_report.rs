@@ -1,220 +1,88 @@
-//! `bench-report` — time the annotation engines and the parallel trial
-//! runtime, writing the tracked benchmark JSON.
+//! `bench-report` — run one tracked benchmark harness and write its JSON
+//! artifact.
 //!
 //! Usage:
-//!   bench-report [--streaming | --parallel | --skeleton | --churn | --scenarios | --serve | --resilience] [--quick] [--seed N] [--out PATH]
+//!   bench-report [--parallel | --churn | --scenarios | --resilience] [--quick] [--seed N] [--out PATH]
 //!
-//! Default mode times the hot *static* sampling designs (SRS/WCS/TWCS
-//! trial loops) and writes `BENCH_throughput.json`. `--streaming` instead
-//! replays evolving-KG update sequences through the §6 incremental
-//! evaluators (RS/SS) under both engines and writes `BENCH_streaming.json`
-//! (schema `kg-bench-streaming/v1`). `--parallel` sweeps the
-//! `TrialExecutor` worker counts (1/2/4/8) over the static TWCS workload
-//! under both engines and writes `BENCH_parallel.json` (schema
-//! `kg-bench-parallel/v1`), recording both the scaling curve and the
-//! bitwise worker-count-invariance check. `--skeleton` times the
-//! engine-independent per-batch stream bookkeeping (reservoir offers +
-//! PPS appends) under the per-item and batched offer paths and writes
-//! `BENCH_skeleton.json` (schema `kg-bench-skeleton/v1`), including the
-//! byte-identity check between the two. `--churn` replays deletion-aware
-//! event streams (inserts + retractions at 0%/25%/50% delete fractions)
-//! through RS/SS under both engines and writes `BENCH_churn.json` (schema
-//! `kg-bench-churn/v1`), with a per-fraction cross-engine and cross-offer-
-//! path identity check. `--scenarios` sweeps the adversarial scenario
-//! matrix — every `kg_datagen::scenario` family through all eight
-//! evaluators under both engines — and writes `BENCH_scenarios.json`
-//! (schema `kg-bench-scenarios/v1`) with per-cell byte-identity and CI
-//! coverage flags. `--serve` load-tests the kg-serve session service over
-//! real TCP — thousands of tenant monitors registered and driven through
-//! churn scripts, with served estimates byte-checked against in-process
-//! evaluation and checkpoint/restore round-trips — and writes
-//! `BENCH_serve.json` (schema `kg-bench-serve/v1`). `--resilience` runs
-//! the deterministic chaos harness — seeded connection faults, abrupt
-//! process kills, spill-file sabotage, and a final drain→restart cycle
-//! over a tenant fleet, with every served estimate byte-checked against
-//! a fault-free replay — and writes `BENCH_resilience.json` (schema
-//! `kg-bench-resilience/v1`).
+//! | flag | harness | artifact (schema) |
+//! |---|---|---|
+//! | *(none)* | static SRS/WCS/TWCS trial loops, hash vs dense engine | `BENCH_throughput.json` (`kg-bench-throughput/v1`) |
+//! | `--parallel` | `TrialExecutor` worker sweep (1/2/4/8) over static TWCS, with the bitwise worker-count-invariance check | `BENCH_parallel.json` (`kg-bench-parallel/v2`) |
+//! | `--churn` | the §6 incremental evaluators (RS/SS) over evolving-KG event streams at 0%/25%/50% delete fractions — 0% is the paper's insert-only stream — with per-fraction cross-engine and cross-offer-path identity checks | `BENCH_churn.json` (`kg-bench-churn/v1`) |
+//! | `--scenarios` | the adversarial scenario matrix: every `kg_datagen::scenario` family through all eight evaluators under both engines, with per-cell identity and CI-coverage flags | `BENCH_scenarios.json` (`kg-bench-scenarios/v1`) |
+//! | `--resilience` | the deterministic kg-serve chaos harness: seeded connection faults, abrupt kills, spill sabotage, and a drain→restart cycle, every served estimate byte-checked against a fault-free replay | `BENCH_resilience.json` (`kg-bench-resilience/v1`) |
 //!
-//! `--quick` shrinks scales and trial counts (CI); the default output path
-//! is `BENCH_<mode>.json` in the working directory. All artifacts are
-//! written atomically (temp file + rename), so an interrupted run never
-//! leaves a truncated JSON. Run release: `cargo run --release -p kg-bench
-//! --bin bench-report`.
+//! Served latency is measured by `kgperf` (see `kgperf/README.md`); the
+//! served-estimate byte checks run as the `serve_checks` test.
+//!
+//! `--quick` shrinks scales and trial counts (CI); `--out` overrides the
+//! default artifact path in the working directory. Artifacts are written
+//! atomically (temp file + rename), so an interrupted run never leaves a
+//! truncated JSON. Run release: `cargo run --release -p kg-bench --bin
+//! bench-report`.
 
 use kg_bench::artifact::write_atomic;
-use kg_bench::{chaos, churn, parallel, scenarios, serve, skeleton, streaming, throughput};
+use kg_bench::{chaos, churn, parallel, scenarios, throughput, BenchOpts};
 
-enum Mode {
-    Throughput,
-    Streaming,
-    Parallel,
-    Skeleton,
-    Churn,
-    Scenarios,
-    Serve,
-    Resilience,
+/// A harness run: the console table and the JSON artifact.
+type Run = fn(&BenchOpts) -> (String, String);
+
+macro_rules! harness {
+    ($module:ident) => {
+        |opts: &BenchOpts| {
+            let report = $module::run(opts);
+            ($module::render_table(&report), $module::to_json(&report))
+        }
+    };
 }
 
+/// Each mode flag, its harness, and its default artifact path. The first
+/// row is the default mode and has no flag.
+const MODES: [(&str, Run, &str); 5] = [
+    ("", harness!(throughput), "BENCH_throughput.json"),
+    ("--parallel", harness!(parallel), "BENCH_parallel.json"),
+    ("--churn", harness!(churn), "BENCH_churn.json"),
+    ("--scenarios", harness!(scenarios), "BENCH_scenarios.json"),
+    ("--resilience", harness!(chaos), "BENCH_resilience.json"),
+];
+
+const USAGE: &str = "bench-report [--parallel | --churn | --scenarios | --resilience] [--quick] [--seed N] [--out PATH]";
+
 fn main() {
-    let mut quick = false;
-    let mut seed: Option<u64> = None;
+    let mut opts = BenchOpts::default();
     let mut out: Option<String> = None;
-    let mut mode = Mode::Throughput;
+    let mut mode = &MODES[0];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--streaming" => mode = Mode::Streaming,
-            "--parallel" => mode = Mode::Parallel,
-            "--skeleton" => mode = Mode::Skeleton,
-            "--churn" => mode = Mode::Churn,
-            "--scenarios" => mode = Mode::Scenarios,
-            "--serve" => mode = Mode::Serve,
-            "--resilience" => mode = Mode::Resilience,
-            "--quick" => quick = true,
+            "--quick" => opts.quick = true,
             "--seed" => {
-                seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer")),
-                );
+                opts.seed = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--out" => {
                 out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "bench-report [--streaming | --parallel | --skeleton | --churn | --scenarios | --serve | --resilience] [--quick] [--seed N] [--out PATH]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
-            other => die(&format!("unknown argument {other}")),
+            flag => {
+                mode = MODES[1..]
+                    .iter()
+                    .find(|(f, _, _)| *f == flag)
+                    .unwrap_or_else(|| die(&format!("unknown argument {flag}")));
+            }
         }
     }
     #[cfg(debug_assertions)]
     eprintln!("warning: debug build — run with --release for meaningful numbers");
 
-    let (table, json, out) = match mode {
-        Mode::Streaming => {
-            let mut opts = streaming::StreamingOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = streaming::run(&opts);
-            (
-                streaming::render_table(&report),
-                streaming::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_streaming.json")),
-            )
-        }
-        Mode::Parallel => {
-            let mut opts = parallel::ParallelOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = parallel::run(&opts);
-            (
-                parallel::render_table(&report),
-                parallel::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_parallel.json")),
-            )
-        }
-        Mode::Skeleton => {
-            let mut opts = skeleton::SkeletonOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = skeleton::run(&opts);
-            (
-                skeleton::render_table(&report),
-                skeleton::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_skeleton.json")),
-            )
-        }
-        Mode::Churn => {
-            let mut opts = churn::ChurnOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = churn::run(&opts);
-            (
-                churn::render_table(&report),
-                churn::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_churn.json")),
-            )
-        }
-        Mode::Scenarios => {
-            let mut opts = scenarios::ScenarioOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = scenarios::run(&opts);
-            (
-                scenarios::render_table(&report),
-                scenarios::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_scenarios.json")),
-            )
-        }
-        Mode::Serve => {
-            let mut opts = serve::ServeOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = serve::run(&opts);
-            (
-                serve::render_table(&report),
-                serve::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_serve.json")),
-            )
-        }
-        Mode::Resilience => {
-            let mut opts = chaos::ChaosOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = chaos::run(&opts);
-            (
-                chaos::render_table(&report),
-                chaos::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_resilience.json")),
-            )
-        }
-        Mode::Throughput => {
-            let mut opts = throughput::ThroughputOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = throughput::run(&opts);
-            (
-                throughput::render_table(&report),
-                throughput::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_throughput.json")),
-            )
-        }
-    };
+    let (_, run, default_out) = mode;
+    let (table, json) = run(&opts);
+    let out = out.unwrap_or_else(|| default_out.to_string());
     print!("{table}");
     write_atomic(&out, &json).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
     println!("wrote {out}");

@@ -42,35 +42,18 @@
 
 use kg_eval::session::{LifecyclePolicy, SessionRegistry};
 use kg_eval::{CheckpointStore, TrialExecutor};
+use kg_serve::json::Json;
 use kg_serve::{FaultAction, FaultHook, Server, ServerConfig};
-use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::serve::{
-    events_body, num_field, script_for, served_bits, spec_for, spec_json, str_field,
+    events_body, local_bits, script_for, served_bits, spec_for, spec_json, splitmix64, Client,
+    EstimateBits,
 };
-
-/// Options for the resilience chaos harness.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosOpts {
-    /// Quick mode: 120 tenants / 1 kill instead of 600 / 2 (CI).
-    pub quick: bool,
-    /// Base seed; the fault plan, client jitter, and every tenant spec
-    /// derive from it.
-    pub seed: u64,
-}
-
-impl Default for ChaosOpts {
-    fn default() -> Self {
-        ChaosOpts {
-            quick: false,
-            seed: 20190923,
-        }
-    }
-}
+use crate::BenchOpts;
 
 /// Everything the chaos harness measured and checked.
 #[derive(Debug, Clone)]
@@ -133,15 +116,6 @@ pub struct ChaosReport {
     pub elapsed_sec: f64,
 }
 
-/// SplitMix64 — the deterministic hash behind the fault plan and the
-/// client's backoff jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Seeded per-connection fault plan: one connection in `period` is
 /// sacrificed, cycling through the three abort flavours.
 struct ChaosHook {
@@ -160,71 +134,6 @@ impl FaultHook for ChaosHook {
             1 => FaultAction::AbortAfterRead,
             _ => FaultAction::StallThenAbort(Duration::from_millis(15)),
         }
-    }
-}
-
-/// A fault-tolerant single-threaded HTTP client: connect/read failures,
-/// 408s, and 503s are retried with capped exponential backoff and
-/// deterministic jitter; anything else (including 404/500 — those are
-/// *answers* under chaos) is returned to the caller.
-struct Client {
-    addr: String,
-    seed: u64,
-    requests: u64,
-    retries: u64,
-}
-
-impl Client {
-    const MAX_ATTEMPTS: u32 = 12;
-
-    fn one_shot(&self, method: &str, path: &str, body: &str) -> Option<(u16, String)> {
-        let mut stream = TcpStream::connect(&self.addr).ok()?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .ok()?;
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nhost: kg-serve\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .ok()?;
-        let mut response = String::new();
-        stream.read_to_string(&mut response).ok()?;
-        let status: u16 = response.split_whitespace().nth(1)?.parse().ok()?;
-        let body = response.split_once("\r\n\r\n")?.1.to_string();
-        Some((status, body))
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        for attempt in 0..Self::MAX_ATTEMPTS {
-            self.requests += 1;
-            match self.one_shot(method, path, body) {
-                Some((status, body)) if status != 408 && status != 503 => {
-                    return (status, body);
-                }
-                // Dropped connection (an injected fault or a kill racing
-                // the exchange), deadline trip, or load shed: back off
-                // and retry. Faults fire pre-dispatch, so the retry hits
-                // unchanged state.
-                _ => {
-                    self.retries += 1;
-                    let jitter =
-                        splitmix64(self.seed ^ self.requests ^ u64::from(attempt) << 32) % 4;
-                    let backoff = (2u64 << attempt.min(5)).min(50) + jitter;
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-            }
-        }
-        panic!(
-            "{method} {path}: no answer after {} attempts",
-            Self::MAX_ATTEMPTS
-        );
-    }
-
-    fn ok(&mut self, method: &str, path: &str, body: &str) -> String {
-        let (status, body) = self.request(method, path, body);
-        assert_eq!(status, 200, "{method} {path}: {body}");
-        body
     }
 }
 
@@ -313,8 +222,9 @@ fn scratch_dir(seed: u64) -> PathBuf {
     std::env::temp_dir().join(format!("kg-chaos-{}-{seed:x}", std::process::id()))
 }
 
-/// Run the harness at the standard scale.
-pub fn run(opts: &ChaosOpts) -> ChaosReport {
+/// Run the harness at the standard scale. Quick mode drives 120 tenants
+/// through 1 kill instead of 600 through 2 (CI).
+pub fn run(opts: &BenchOpts) -> ChaosReport {
     if opts.quick {
         run_scaled(opts, 120, 1, 24, 16, 16)
     } else {
@@ -325,7 +235,7 @@ pub fn run(opts: &ChaosOpts) -> ChaosReport {
 /// Run with explicit scales (unit tests use tiny ones).
 #[allow(clippy::needless_range_loop)] // t/r index ids, scripts, and expected in lockstep
 fn run_scaled(
-    opts: &ChaosOpts,
+    opts: &BenchOpts,
     tenants: usize,
     kills: usize,
     max_live: usize,
@@ -342,7 +252,7 @@ fn run_scaled(
     // byte for byte, no matter what the fault plan does to it.
     let rounds = script_for(0).len();
     let local = SessionRegistry::new();
-    let mut expected: Vec<Vec<(String, String, String)>> = Vec::with_capacity(tenants);
+    let mut expected: Vec<Vec<EstimateBits>> = Vec::with_capacity(tenants);
     for t in 0..tenants {
         let lid = local.register(spec_for(seed, t)).expect("local register");
         let mut per_round = Vec::with_capacity(rounds);
@@ -350,22 +260,13 @@ fn run_scaled(
             let rep = local
                 .apply_events(lid, std::slice::from_ref(&event))
                 .expect("local replay");
-            per_round.push((
-                format!("{:016x}", rep.mean.to_bits()),
-                format!("{:016x}", rep.var_of_mean.to_bits()),
-                rep.units.to_string(),
-            ));
+            per_round.push(local_bits(&rep));
         }
         expected.push(per_round);
     }
 
     let (mut server, mut registry, _) = start_life(&dir, seed, 0, max_live, period);
-    let mut client = Client {
-        addr: server.addr().to_string(),
-        seed,
-        requests: 0,
-        retries: 0,
-    };
+    let mut client = Client::new(server.addr().to_string(), seed);
     let mut totals = RunTotals::default();
     let mut lives = 1;
     let mut estimates_checked = 0usize;
@@ -378,7 +279,7 @@ fn run_scaled(
     let mut ids = vec![0u64; tenants];
     for (t, id) in ids.iter_mut().enumerate() {
         let body = client.ok("POST", "/kg", &spec_json(&spec_for(seed, t)));
-        *id = num_field(&body, "id").parse().expect("numeric id");
+        *id = body.get("id").and_then(Json::as_u64).expect("numeric id");
     }
 
     // Traffic rounds, with scripted kills at the quiescent points
@@ -400,7 +301,8 @@ fn run_scaled(
             let mut backups = Vec::new();
             for &t in plan.torn.iter().chain(std::iter::once(&plan.vanished)) {
                 let body = client.ok("POST", &format!("/kg/{}/checkpoint", ids[t]), "");
-                backups.push((t, str_field(&body, "checkpoint")));
+                let hex = body.get("checkpoint").and_then(Json::as_str);
+                backups.push((t, hex.expect("checkpoint payload").to_string()));
             }
 
             // Crash: no drain, no checkpoint sweep. Write-through is the
@@ -453,7 +355,7 @@ fn run_scaled(
                     .find(|(bt, _)| *bt == t)
                     .expect("victim backup");
                 let body = client.ok("POST", "/kg", &format!(r#"{{"checkpoint":"{hex}"}}"#));
-                ids[t] = num_field(&body, "id").parse().expect("numeric id");
+                ids[t] = body.get("id").and_then(Json::as_u64).expect("numeric id");
                 reregistered += 1;
             }
         }
@@ -650,7 +552,7 @@ mod tests {
     fn tiny_chaos_run_survives_and_stays_byte_identical() {
         // Aggressive fault period (1 in 4) over a tiny fleet: one kill,
         // sabotage, and the full drain→restart cycle.
-        let opts = ChaosOpts {
+        let opts = BenchOpts {
             quick: true,
             seed: 4242,
         };

@@ -1,12 +1,14 @@
-//! Tracked churn harness: the §6 incremental evaluators under
+//! Tracked evolving-KG harness: the §6 incremental evaluators under
 //! interleaved insertions **and deletions**, hash vs dense engine.
 //!
-//! `bench-report --churn` is the deletion-aware counterpart of the
-//! streaming harness: at each base scale it generates a movie-like base KG
-//! and replays the same [`ChurnGenerator`] event stream — inserts plus
+//! At each base scale `bench-report --churn` generates a movie-like base
+//! KG and replays the same [`ChurnGenerator`] event stream — inserts plus
 //! uniformly sampled retractions of live triples — at delete fractions of
 //! 0%, 25%, and 50% of the per-event insert volume, under both annotation
-//! engines, writing `BENCH_churn.json` (schema `kg-bench-churn/v1`).
+//! engines, writing `BENCH_churn.json` (schema `kg-bench-churn/v1`). The
+//! 0% row is the paper's insert-only update stream (§7.3): its events are
+//! exactly `UpdateGenerator::movie_like().sequence(..)` over the same
+//! seeds.
 //!
 //! The headline metric is **nanoseconds per changed triple**: wall-clock
 //! time of the event-application loop (base evaluation excluded) divided
@@ -22,6 +24,7 @@
 //! the two engines (and, for RS, across the batched and per-item offer
 //! paths). CI runs `--churn --quick` and fails on any `"identity": false`.
 
+use crate::BenchOpts;
 use kg_annotate::annotator::{Annotator, SimulatedAnnotator};
 use kg_annotate::cost::CostModel;
 use kg_annotate::dense::DenseAnnotator;
@@ -30,9 +33,10 @@ use kg_annotate::oracle::BmmOracle;
 use kg_datagen::evolve::ChurnGenerator;
 use kg_datagen::generator::cluster_sizes;
 use kg_eval::config::EvalConfig;
-use kg_eval::dynamic::monitor::run_event_sequence;
+use kg_eval::dynamic::monitor::{run_event_sequence, BatchOutcome};
 use kg_eval::dynamic::reservoir::ReservoirEvaluator;
 use kg_eval::dynamic::stratified::StratifiedIncremental;
+use kg_eval::dynamic::IncrementalEvaluator;
 use kg_eval::executor::run_trials;
 use kg_model::implicit::{ClusterPopulation, ImplicitKg};
 use kg_model::retract::KgEvent;
@@ -42,24 +46,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Options for a churn run.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnOpts {
-    /// Quick mode: drop the 10^6 scale and shrink trial counts (CI).
-    pub quick: bool,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ChurnOpts {
-    fn default() -> Self {
-        ChurnOpts {
-            quick: false,
-            seed: 20190923,
-        }
-    }
-}
 
 /// Delete fractions swept per scale: none, quarter, half of the insert
 /// volume.
@@ -194,62 +180,48 @@ fn evolved_store(s: &Setup) -> LabelStore {
     store
 }
 
-/// Replay the full stream once; returns the final estimate and the
+/// Replay the full stream once; returns the per-event outcomes and the
 /// event-loop wall-clock seconds (base evaluation excluded).
 fn replay(
-    evaluator: &'static str,
+    evaluator: &str,
     s: &Setup,
     config: EvalConfig,
     annotator: &mut dyn Annotator,
     trial_seed: u64,
-) -> (f64, f64) {
+) -> (Vec<BatchOutcome>, f64) {
     let mut rng = StdRng::seed_from_u64(trial_seed);
-    let (outcomes, event_sec) = match evaluator {
-        "RS" => {
-            let mut rs = ReservoirEvaluator::evaluate_base(
-                &s.base, CAPACITY, M, config, annotator, &mut rng,
-            );
-            let t0 = Instant::now();
-            let out = run_event_sequence(&mut rs, &s.events, config.alpha, annotator, &mut rng);
-            (out, t0.elapsed().as_secs_f64())
-        }
-        "SS" => {
-            let mut ss = StratifiedIncremental::from_base(&s.base, s.base_estimate, M, config);
-            let t0 = Instant::now();
-            let out = run_event_sequence(&mut ss, &s.events, config.alpha, annotator, &mut rng);
-            (out, t0.elapsed().as_secs_f64())
-        }
+    let mut monitor: Box<dyn IncrementalEvaluator> = match evaluator {
+        "RS" => Box::new(ReservoirEvaluator::evaluate_base(
+            &s.base, CAPACITY, M, config, annotator, &mut rng,
+        )),
+        "SS" => Box::new(StratifiedIncremental::from_base(
+            &s.base,
+            s.base_estimate,
+            M,
+            config,
+        )),
         other => panic!("unknown evaluator {other}"),
     };
-    (
-        outcomes.last().expect("non-empty stream").estimate.mean,
-        event_sec,
-    )
+    let t0 = Instant::now();
+    let out = run_event_sequence(&mut *monitor, &s.events, config.alpha, annotator, &mut rng);
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// The estimate after the final event of one replay.
+fn final_estimate(outcomes: &[BatchOutcome]) -> f64 {
+    outcomes.last().expect("non-empty stream").estimate.mean
 }
 
 /// Full per-event signature of one replay — what the identity checks
-/// byte-compare across engines and offer paths.
+/// byte-compare across engines.
 fn replay_signature(
-    evaluator: &'static str,
+    evaluator: &str,
     s: &Setup,
     config: EvalConfig,
     annotator: &mut dyn Annotator,
     trial_seed: u64,
 ) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(trial_seed);
-    let outcomes = match evaluator {
-        "RS" => {
-            let mut rs = ReservoirEvaluator::evaluate_base(
-                &s.base, CAPACITY, M, config, annotator, &mut rng,
-            );
-            run_event_sequence(&mut rs, &s.events, config.alpha, annotator, &mut rng)
-        }
-        "SS" => {
-            let mut ss = StratifiedIncremental::from_base(&s.base, s.base_estimate, M, config);
-            run_event_sequence(&mut ss, &s.events, config.alpha, annotator, &mut rng)
-        }
-        other => panic!("unknown evaluator {other}"),
-    };
+    let (outcomes, _) = replay(evaluator, s, config, annotator, trial_seed);
     let mut sig: Vec<u64> = outcomes
         .iter()
         .flat_map(|o| {
@@ -265,6 +237,31 @@ fn replay_signature(
     sig.push(annotator.seconds().to_bits());
     sig.push(annotator.triples_annotated() as u64);
     sig
+}
+
+/// The two annotation engines every row is timed and identity-checked
+/// under.
+const ENGINES: [&str; 2] = ["hash", "dense"];
+
+/// Run `f` on a fresh hash annotator, or on the shared dense arena after
+/// a journal-bounded reset.
+fn on_engine<R>(
+    engine: &str,
+    s: &Setup,
+    dense: &mut DenseAnnotator,
+    f: impl FnOnce(&mut dyn Annotator) -> R,
+) -> R {
+    match engine {
+        "hash" => f(&mut SimulatedAnnotator::new(
+            &s.oracle,
+            CostModel::default(),
+        )),
+        "dense" => {
+            dense.reset();
+            f(dense)
+        }
+        other => panic!("unknown engine {other}"),
+    }
 }
 
 /// Churn volume of a stream: triples inserted plus triples retracted.
@@ -295,62 +292,36 @@ fn run_fraction(target: u64, fraction: f64, trials: u64, seed: u64) -> ChurnFrac
 
     // Identity gate first: both engines (and, for RS, both offer paths)
     // must replay the stream byte-identically before timing means anything.
-    let identity = {
-        let engines = ["RS", "SS"].iter().all(|ev| {
-            let mut hash = SimulatedAnnotator::new(&s.oracle, CostModel::default());
-            let h = replay_signature(ev, &s, config, &mut hash, seed ^ 1);
-            dense.reset();
-            let d = replay_signature(ev, &s, config, &mut dense, seed ^ 1);
-            h == d
-        });
-        engines && offer_modes_agree_with(&s, config, &mut dense, seed)
-    };
+    let identity = engines_agree_with(&s, config, &mut dense, seed)
+        && offer_modes_agree_with(&s, config, &mut dense, seed);
 
     let mut measurements = Vec::new();
     for evaluator in ["RS", "SS"] {
-        let run_hash = |t: u64| -> (f64, f64) {
-            let mut ann = SimulatedAnnotator::new(&s.oracle, CostModel::default());
-            replay(evaluator, &s, config, &mut ann, seed ^ (t * 7919))
-        };
-        run_hash(trials); // warmup (fresh seed, untimed)
-        let mut event_sec = 0.0;
-        let mut est_sum = 0.0;
-        for t in 0..trials {
-            let (e, sec) = run_hash(t);
-            est_sum += e;
-            event_sec += sec;
+        for engine in ENGINES {
+            let mut run_trial = |t: u64| {
+                on_engine(engine, &s, &mut dense, |ann| {
+                    let (outcomes, sec) = replay(evaluator, &s, config, ann, seed ^ (t * 7919));
+                    (final_estimate(&outcomes), sec)
+                })
+            };
+            run_trial(trials); // warmup (fresh seed, untimed)
+            let mut event_sec = 0.0;
+            let mut est_sum = 0.0;
+            for t in 0..trials {
+                let (e, sec) = run_trial(t);
+                est_sum += e;
+                event_sec += sec;
+            }
+            measurements.push(ChurnMeasurement {
+                evaluator,
+                engine,
+                trials,
+                churned,
+                event_sec,
+                ns_per_changed_triple: event_sec * 1e9 / (churned * trials) as f64,
+                mean_final_estimate: est_sum / trials as f64,
+            });
         }
-        measurements.push(ChurnMeasurement {
-            evaluator,
-            engine: "hash",
-            trials,
-            churned,
-            event_sec,
-            ns_per_changed_triple: event_sec * 1e9 / (churned * trials) as f64,
-            mean_final_estimate: est_sum / trials as f64,
-        });
-
-        let mut run_dense = |t: u64| -> (f64, f64) {
-            dense.reset();
-            replay(evaluator, &s, config, &mut dense, seed ^ (t * 7919))
-        };
-        run_dense(trials); // warmup (fresh seed, untimed)
-        let mut event_sec = 0.0;
-        let mut est_sum = 0.0;
-        for t in 0..trials {
-            let (e, sec) = run_dense(t);
-            est_sum += e;
-            event_sec += sec;
-        }
-        measurements.push(ChurnMeasurement {
-            evaluator,
-            engine: "dense",
-            trials,
-            churned,
-            event_sec,
-            ns_per_changed_triple: event_sec * 1e9 / (churned * trials) as f64,
-            mean_final_estimate: est_sum / trials as f64,
-        });
     }
     ChurnFractionReport {
         fraction,
@@ -377,8 +348,9 @@ fn run_scale(target: u64, trials: u64, seed: u64) -> ChurnScaleReport {
     }
 }
 
-/// Run the harness.
-pub fn run(opts: &ChurnOpts) -> ChurnReport {
+/// Run the harness. Quick mode drops the 10^6 scale and shrinks trial
+/// counts (CI).
+pub fn run(opts: &BenchOpts) -> ChurnReport {
     let scales: &[(u64, u64)] = if opts.quick {
         // (base triples, trials)
         &[(100_000, 4)]
@@ -509,16 +481,25 @@ pub fn render_table(report: &ChurnReport) -> String {
 
 /// Deterministic cross-engine agreement check: the full per-event
 /// signature must be byte-identical across engines at the given delete
-/// fraction.
+/// fraction (0 is the insert-only stream of the paper's §7.3).
 pub fn engines_agree(target: u64, fraction: f64, seed: u64) -> bool {
     let s = setup(target, fraction, seed);
-    let config = monitor_config();
     let mut dense = DenseAnnotator::new(Arc::new(evolved_store(&s)), CostModel::default());
+    engines_agree_with(&s, monitor_config(), &mut dense, seed)
+}
+
+fn engines_agree_with(
+    s: &Setup,
+    config: EvalConfig,
+    dense: &mut DenseAnnotator,
+    seed: u64,
+) -> bool {
     ["RS", "SS"].iter().all(|ev| {
-        let mut hash = SimulatedAnnotator::new(&s.oracle, CostModel::default());
-        let h = replay_signature(ev, &s, config, &mut hash, seed ^ 1);
-        dense.reset();
-        let d = replay_signature(ev, &s, config, &mut dense, seed ^ 1);
+        let [h, d] = ENGINES.map(|engine| {
+            on_engine(engine, s, dense, |ann| {
+                replay_signature(ev, s, config, ann, seed ^ 1)
+            })
+        });
         h == d
     })
 }
@@ -564,13 +545,7 @@ fn offer_modes_agree_with(
     };
     let sigs: Vec<Vec<u64>> = [OfferMode::PerItem, OfferMode::Batched]
         .iter()
-        .flat_map(|&mode| {
-            let mut hash = SimulatedAnnotator::new(&s.oracle, CostModel::default());
-            let h = run(mode, &mut hash);
-            dense.reset();
-            let d = run(mode, &mut *dense);
-            [h, d]
-        })
+        .flat_map(|&mode| ENGINES.map(|engine| on_engine(engine, s, dense, |ann| run(mode, ann))))
         .collect();
     sigs.iter().all(|sig| sig == &sigs[0])
 }
@@ -594,11 +569,11 @@ pub fn coverage_after_churn(
         let est = match engine {
             "hash" => {
                 let mut ann = SimulatedAnnotator::new(&s.oracle, CostModel::default());
-                replay(evaluator, &s, config, &mut ann, trial_seed).0
+                final_estimate(&replay(evaluator, &s, config, &mut ann, trial_seed).0)
             }
             "dense" => {
                 let mut ann = DenseAnnotator::new(store.clone(), CostModel::default());
-                replay(evaluator, &s, config, &mut ann, trial_seed).0
+                final_estimate(&replay(evaluator, &s, config, &mut ann, trial_seed).0)
             }
             other => panic!("unknown engine {other}"),
         };

@@ -28,8 +28,6 @@ pub mod parallel;
 pub mod scenarios;
 pub mod serve;
 pub mod sharded;
-pub mod skeleton;
-pub mod streaming;
 pub mod table;
 pub mod table3;
 pub mod table4;
@@ -39,6 +37,24 @@ pub mod table7;
 pub mod table8;
 pub mod throughput;
 pub mod trials;
+
+/// Options shared by every `bench-report` harness.
+#[derive(Debug, Clone, Copy)]
+pub struct BenchOpts {
+    /// Quick mode: the harness's smaller CI scale.
+    pub quick: bool,
+    /// Base RNG seed; every scale, stream and trial derives from it.
+    pub seed: u64,
+}
+
+impl Default for BenchOpts {
+    fn default() -> Self {
+        BenchOpts {
+            quick: false,
+            seed: Opts::default().seed,
+        }
+    }
+}
 
 /// Experiment options shared by all modules.
 #[derive(Debug, Clone, Copy)]

@@ -30,6 +30,7 @@
 //!   [`ShardSweep`] counterparts, which the JSON records.
 
 use crate::throughput::synthetic_sizes;
+use crate::BenchOpts;
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
@@ -40,24 +41,6 @@ use kg_eval::sharded::{ShardDesign, ShardedReplay};
 use kg_sampling::PopulationIndex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Options for a parallel-scaling run.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelOpts {
-    /// Quick mode: shrink scales and trial counts (CI).
-    pub quick: bool,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ParallelOpts {
-    fn default() -> Self {
-        ParallelOpts {
-            quick: false,
-            seed: 20190923,
-        }
-    }
-}
 
 /// Forced worker counts of the scaling sweep.
 pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -385,8 +368,8 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
     }
 }
 
-/// Run the harness.
-pub fn run(opts: &ParallelOpts) -> ParallelReport {
+/// Run the harness. Quick mode shrinks scales and trial counts (CI).
+pub fn run(opts: &BenchOpts) -> ParallelReport {
     let scales: &[(u64, u64, u64)] = if opts.quick {
         // (target triples, trials per cell, visits per sharded replay)
         &[(100_000, 32, 2_000), (1_000_000, 16, 4_000)]

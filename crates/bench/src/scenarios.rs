@@ -22,6 +22,7 @@
 //! CI runs `--scenarios --quick` and fails on any `"identity": false` or
 //! `"covered": false`. Committed numbers come from a full run.
 
+use crate::BenchOpts;
 use kg_annotate::annotator::{Annotator, SimulatedAnnotator};
 use kg_annotate::dense::DenseAnnotator;
 use kg_annotate::label_store::LabelStore;
@@ -39,24 +40,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Options for a scenario sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioOpts {
-    /// Quick mode: smaller KGs and fewer trials (CI).
-    pub quick: bool,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ScenarioOpts {
-    fn default() -> Self {
-        ScenarioOpts {
-            quick: false,
-            seed: 20190923,
-        }
-    }
-}
 
 /// Second-stage sample size for the two-stage designs and monitors.
 const M: usize = 10;
@@ -438,8 +421,9 @@ pub fn sweep_scenario(scenario: &Scenario, target: u64, trials: u64, seed: u64) 
     }
 }
 
-/// Run the full sweep over [`Scenario::families`].
-pub fn run(opts: &ScenarioOpts) -> SweepReport {
+/// Run the full sweep over [`Scenario::families`]. Quick mode uses
+/// smaller KGs and fewer trials (CI).
+pub fn run(opts: &BenchOpts) -> SweepReport {
     let (target, trials) = if opts.quick { (2_000, 48) } else { (6_000, 96) };
     SweepReport {
         quick: opts.quick,

@@ -16,6 +16,7 @@
 //! reported separately, since real experiments amortize them over ~1000
 //! trials.
 
+use crate::BenchOpts;
 use kg_annotate::annotator::{Annotator, SimulatedAnnotator};
 use kg_annotate::cost::CostModel;
 use kg_annotate::dense::DenseAnnotator;
@@ -26,24 +27,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Options for a throughput run.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputOpts {
-    /// Quick mode: drop the 10^7 scale and shrink trial counts (CI).
-    pub quick: bool,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ThroughputOpts {
-    fn default() -> Self {
-        ThroughputOpts {
-            quick: false,
-            seed: 20190923,
-        }
-    }
-}
 
 /// One (scale, design, engine) measurement.
 #[derive(Debug, Clone)]
@@ -154,8 +137,9 @@ fn specs() -> Vec<DesignSpec> {
     ]
 }
 
-/// Run the harness.
-pub fn run(opts: &ThroughputOpts) -> ThroughputReport {
+/// Run the harness. Quick mode drops the 10^7 scale and shrinks trial
+/// counts (CI).
+pub fn run(opts: &BenchOpts) -> ThroughputReport {
     let scales: &[(u64, u64)] = if opts.quick {
         // (target triples, trials)
         &[(100_000, 12), (1_000_000, 6)]

@@ -7,8 +7,8 @@
 //! The monitor is engine-agnostic: each `apply_update` announces its batch
 //! to the annotator (see [`IncrementalEvaluator`]), so the same sequence
 //! runs unchanged over the hash `SimulatedAnnotator` or a growable
-//! `DenseAnnotator` — the streaming benchmark (`bench-report --streaming`)
-//! replays identical sequences under both. It is equally offer-mode
+//! `DenseAnnotator` — the evolving-KG benchmark (`bench-report --churn`)
+//! replays identical streams under both. It is equally offer-mode
 //! agnostic: the reservoir evaluator's batched offer path (see
 //! [`crate::dynamic::reservoir::OfferMode`]) is bitwise identical to the
 //! per-item loop, so sequences replayed here match across that axis too —
@@ -57,22 +57,14 @@ pub fn run_sequence(
     annotator: &mut dyn Annotator,
     rng: &mut dyn RngCore,
 ) -> Vec<BatchOutcome> {
-    let mut outcomes = Vec::with_capacity(batches.len());
-    let mut prev_cost = annotator.seconds();
-    for (i, delta) in batches.iter().enumerate() {
-        let estimate = evaluator.apply_update(delta, annotator, rng);
-        let now = annotator.seconds();
-        outcomes.push(BatchOutcome {
-            batch: i + 1,
-            estimate,
-            moe: estimate.moe(alpha).expect("valid alpha"),
-            batch_cost_seconds: now - prev_cost,
-            cumulative_cost_seconds: now,
-            saturated: evaluator.saturated(),
-        });
-        prev_cost = now;
-    }
-    outcomes
+    record_outcomes(
+        evaluator,
+        batches,
+        alpha,
+        annotator,
+        rng,
+        |ev, delta, ann, rng| ev.apply_update(delta, ann, rng),
+    )
 }
 
 /// Apply a churny event sequence — interleaved insertions, retractions,
@@ -91,10 +83,35 @@ pub fn run_event_sequence(
     annotator: &mut dyn Annotator,
     rng: &mut dyn RngCore,
 ) -> Vec<BatchOutcome> {
-    let mut outcomes = Vec::with_capacity(events.len());
+    record_outcomes(
+        evaluator,
+        events,
+        alpha,
+        annotator,
+        rng,
+        |ev, event, ann, rng| ev.apply_event(event, ann, rng),
+    )
+}
+
+/// The bookkeeping both sequence drivers share: apply each step, then
+/// record its estimate, MoE, and the annotation seconds it cost.
+fn record_outcomes<T>(
+    evaluator: &mut dyn IncrementalEvaluator,
+    steps: &[T],
+    alpha: f64,
+    annotator: &mut dyn Annotator,
+    rng: &mut dyn RngCore,
+    mut apply: impl FnMut(
+        &mut dyn IncrementalEvaluator,
+        &T,
+        &mut dyn Annotator,
+        &mut dyn RngCore,
+    ) -> PointEstimate,
+) -> Vec<BatchOutcome> {
+    let mut outcomes = Vec::with_capacity(steps.len());
     let mut prev_cost = annotator.seconds();
-    for (i, event) in events.iter().enumerate() {
-        let estimate = evaluator.apply_event(event, annotator, rng);
+    for (i, step) in steps.iter().enumerate() {
+        let estimate = apply(evaluator, step, annotator, rng);
         let now = annotator.seconds();
         outcomes.push(BatchOutcome {
             batch: i + 1,
