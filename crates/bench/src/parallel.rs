@@ -36,9 +36,12 @@ use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
 use kg_eval::config::EvalConfig;
 use kg_eval::executor::TrialExecutor;
-use kg_eval::framework::{Evaluator, TrialAggregate};
-use kg_eval::sharded::{ShardDesign, ShardedReplay};
+use kg_eval::framework::Evaluator;
+use kg_eval::sharded::{ShardDesign, ShardedReplay, DEFAULT_SHARD_UNITS};
 use kg_sampling::PopulationIndex;
+use kg_stats::RunningMoments;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -277,11 +280,28 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
 
     let mut measurements = Vec::new();
     for engine in ["hash", "dense"] {
-        let run = |workers: usize, n: u64| -> TrialAggregate {
+        // (estimate, cost seconds) moments per cell. The hash rows drive
+        // the executor directly with a fresh hash annotator per trial
+        // (`run_with_index`) — the reference the dense rows must match bit
+        // for bit.
+        let run = |workers: usize, n: u64| -> [RunningMoments; 2] {
             let exec = TrialExecutor::new().with_workers(workers);
             match engine {
-                "hash" => evaluator.run_trials(&idx, &oracle, &config, &exec, n, base_seed),
-                _ => evaluator.run_trials_dense(&idx, &oracle, &pool, &config, &exec, n, base_seed),
+                "hash" => {
+                    let stats = exec.run(n, base_seed, 2, |seed| {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let report = evaluator
+                            .run_with_index(idx.clone(), &oracle, &config, &mut rng)
+                            .expect("static evaluation over a prebuilt index is infallible");
+                        vec![report.estimate.mean, report.cost_seconds]
+                    });
+                    stats.try_into().expect("two metrics")
+                }
+                _ => {
+                    let agg =
+                        evaluator.run_trials(&idx, &oracle, &pool, &config, &exec, n, base_seed);
+                    [agg.estimate, agg.cost_seconds]
+                }
             }
         };
         // Untimed full-size warmup at both sweep endpoints: page faults,
@@ -292,7 +312,7 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
         run(*WORKER_COUNTS.last().expect("non-empty sweep"), trials);
         for workers in WORKER_COUNTS {
             let t0 = Instant::now();
-            let agg = run(workers, trials);
+            let [estimate, cost] = run(workers, trials);
             let elapsed = t0.elapsed().as_secs_f64();
             measurements.push(WorkerMeasurement {
                 engine,
@@ -300,9 +320,9 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
                 trials,
                 elapsed_sec: elapsed,
                 trials_per_sec: trials as f64 / elapsed,
-                mean_estimate: agg.estimate.mean(),
-                std_estimate: agg.estimate.sample_std(),
-                mean_cost_seconds: agg.cost_seconds.mean(),
+                mean_estimate: estimate.mean(),
+                std_estimate: estimate.sample_std(),
+                mean_cost_seconds: cost.mean(),
             });
         }
     }
@@ -362,7 +382,7 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
         shard_sweep: ShardSweep {
             units: replay_units,
             shards: sharded.num_shards(replay_units),
-            shard_units: sharded.shard_units(),
+            shard_units: DEFAULT_SHARD_UNITS,
             measurements: shard_measurements,
         },
     }

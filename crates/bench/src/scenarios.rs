@@ -11,8 +11,8 @@
 //!
 //! * an **identity** flag — the full evaluation signature (estimates,
 //!   MoE, costs, annotation accounting) byte-compared across the hash and
-//!   dense engines, and, for RS, across the per-item and batched offer
-//!   paths;
+//!   dense engines (RS's signature is also pinned against per-item A-Res
+//!   fixtures by the `offer_identity` test, via [`rs_signatures`]);
 //! * a **coverage** estimate — the fraction of seeded trials whose
 //!   final CI `μ̂ ± MoE` covers the scenario's exact live truth, with a
 //!   `covered` flag testing ≈95% under the same binomial `3σ + 2%` band
@@ -29,11 +29,12 @@ use kg_annotate::label_store::LabelStore;
 use kg_annotate::oracle::GoldLabels;
 use kg_datagen::scenario::{MaterializedScenario, Scenario};
 use kg_eval::config::EvalConfig;
-use kg_eval::dynamic::monitor::run_event_sequence;
-use kg_eval::dynamic::reservoir::{OfferMode, ReservoirEvaluator};
+use kg_eval::dynamic::monitor::{run_event_sequence, BatchOutcome};
+use kg_eval::dynamic::reservoir::ReservoirEvaluator;
 use kg_eval::dynamic::stratified::StratifiedIncremental;
 use kg_eval::executor::run_trials;
 use kg_eval::framework::Evaluator;
+use kg_eval::report::EvaluationReport;
 use kg_model::implicit::{ClusterPopulation, ImplicitKg};
 use kg_sampling::PopulationIndex;
 use rand::rngs::StdRng;
@@ -78,7 +79,7 @@ pub struct CellReport {
     pub engine: &'static str,
     /// Seeded trials behind the coverage estimate.
     pub trials: u64,
-    /// Byte-identity across engines (and, for RS, across offer paths).
+    /// Byte-identity across engines.
     pub identity: bool,
     /// Fraction of trials whose final CI covered the live truth.
     pub coverage: f64,
@@ -187,15 +188,15 @@ fn setup(scenario: &Scenario, target: u64, seed: u64) -> SweepSetup {
     }
 }
 
-/// Full evaluation signature of a static run — the byte-identity payload.
-fn static_signature(
+/// One seeded static run over the compacted live KG.
+fn static_report(
     s: &SweepSetup,
     evaluator: &str,
     annotator: &mut dyn Annotator,
     seed: u64,
-) -> Vec<u64> {
+) -> EvaluationReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let report = static_evaluator(evaluator)
+    static_evaluator(evaluator)
         .run_with_annotator(
             s.live_index.clone(),
             &s.gold,
@@ -203,7 +204,11 @@ fn static_signature(
             &sweep_config(),
             &mut rng,
         )
-        .expect("valid live population");
+        .expect("valid live population")
+}
+
+/// Full evaluation signature of a static run — the byte-identity payload.
+fn static_signature(report: &EvaluationReport, annotator: &dyn Annotator) -> Vec<u64> {
     vec![
         report.estimate.mean.to_bits(),
         report.estimate.var_of_mean.to_bits(),
@@ -216,43 +221,21 @@ fn static_signature(
     ]
 }
 
-/// One static trial: (coverage hit, final estimate).
-fn static_trial(
+/// One seeded monitor replay of the scenario's event stream. The SS base
+/// estimate resamples per seed so its frozen sampling error stays honest
+/// (the ci_coverage idiom).
+fn dynamic_replay(
     s: &SweepSetup,
     evaluator: &str,
     annotator: &mut dyn Annotator,
     seed: u64,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let report = static_evaluator(evaluator)
-        .run_with_annotator(
-            s.live_index.clone(),
-            &s.gold,
-            annotator,
-            &sweep_config(),
-            &mut rng,
-        )
-        .expect("valid live population");
-    vec![
-        ((report.estimate.mean - s.truth).abs() <= report.moe) as u64 as f64,
-        report.estimate.mean,
-    ]
-}
-
-/// Full per-event replay signature of a dynamic run (churn-harness idiom).
-fn dynamic_signature(
-    s: &SweepSetup,
-    evaluator: &str,
-    mode: OfferMode,
-    annotator: &mut dyn Annotator,
-    seed: u64,
-) -> Vec<u64> {
+) -> Vec<BatchOutcome> {
     let config = sweep_config();
     let mut rng = StdRng::seed_from_u64(seed);
-    let outcomes = match evaluator {
+    match evaluator {
         "RS" => {
-            let mut rs = ReservoirEvaluator::evaluate_base_with_mode(
-                &s.m.base, CAPACITY, M, config, mode, annotator, &mut rng,
+            let mut rs = ReservoirEvaluator::evaluate_base(
+                &s.m.base, CAPACITY, M, config, annotator, &mut rng,
             );
             run_event_sequence(&mut rs, &s.m.events, config.alpha, annotator, &mut rng)
         }
@@ -264,7 +247,11 @@ fn dynamic_signature(
             run_event_sequence(&mut ss, &s.m.events, config.alpha, annotator, &mut rng)
         }
         other => panic!("unknown evaluator {other}"),
-    };
+    }
+}
+
+/// Full per-event signature of a monitor replay (churn-harness idiom).
+fn dynamic_signature(outcomes: &[BatchOutcome], annotator: &dyn Annotator) -> Vec<u64> {
     let mut sig: Vec<u64> = outcomes
         .iter()
         .flat_map(|o| {
@@ -282,38 +269,27 @@ fn dynamic_signature(
     sig
 }
 
-/// One dynamic trial: (final-event coverage hit, final estimate). The SS
-/// base estimate resamples per trial so its frozen sampling error stays
-/// honest (the ci_coverage idiom).
-fn dynamic_trial(
-    s: &SweepSetup,
-    evaluator: &str,
-    annotator: &mut dyn Annotator,
-    seed: u64,
-) -> Vec<f64> {
-    let config = sweep_config();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let outcomes = match evaluator {
-        "RS" => {
-            let mut rs = ReservoirEvaluator::evaluate_base(
-                &s.m.base, CAPACITY, M, config, annotator, &mut rng,
-            );
-            run_event_sequence(&mut rs, &s.m.events, config.alpha, annotator, &mut rng)
-        }
-        "SS" => {
-            let report = Evaluator::twcs(M)
-                .run_with_index(s.base_index.clone(), s.m.oracle.as_ref(), &config, &mut rng)
-                .expect("valid base population");
-            let mut ss = StratifiedIncremental::from_base(&s.m.base, report.estimate, M, config);
-            run_event_sequence(&mut ss, &s.m.events, config.alpha, annotator, &mut rng)
-        }
-        other => panic!("unknown evaluator {other}"),
-    };
-    let last = outcomes.last().expect("non-empty stream");
-    vec![
-        ((last.estimate.mean - s.truth).abs() <= last.moe) as u64 as f64,
-        last.estimate.mean,
-    ]
+/// A monitor replay's signature under each engine (hash, then dense).
+fn dynamic_engine_signatures(s: &SweepSetup, evaluator: &str, seed: u64) -> [Vec<u64>; 2] {
+    let cost = s.m.cost;
+    let mut hash = SimulatedAnnotator::new(s.m.oracle.as_ref(), cost);
+    let h = dynamic_signature(&dynamic_replay(s, evaluator, &mut hash, seed), &hash);
+    let mut dense = DenseAnnotator::new(s.evolved_store.clone(), cost);
+    let d = dynamic_signature(&dynamic_replay(s, evaluator, &mut dense, seed), &dense);
+    [h, d]
+}
+
+/// The RS replay signature of one scenario family — exactly the payload
+/// of the sweep's RS identity gate at `seed` — under each engine (hash,
+/// then dense). The `offer_identity` test compares each against a golden
+/// fixture recorded from the per-item A-Res reference loop.
+pub fn rs_signatures(scenario: &Scenario, target: u64, seed: u64) -> [Vec<u64>; 2] {
+    dynamic_engine_signatures(&setup(scenario, target, seed), "RS", seed ^ 1)
+}
+
+/// (coverage hit, estimate) of one run: does `μ̂ ± MoE` cover the truth.
+fn trial_metrics(s: &SweepSetup, estimate: f64, moe: f64) -> Vec<f64> {
+    vec![((estimate - s.truth).abs() <= moe) as u64 as f64, estimate]
 }
 
 fn coverage_band_lo(trials: u64) -> f64 {
@@ -334,22 +310,25 @@ pub fn sweep_scenario(scenario: &Scenario, target: u64, trials: u64, seed: u64) 
         // Identity gate: one seeded run byte-compared across engines.
         let identity = {
             let mut hash = SimulatedAnnotator::new(&s.gold, cost);
-            let h = static_signature(&s, evaluator, &mut hash, seed ^ 1);
+            let h = static_signature(&static_report(&s, evaluator, &mut hash, seed ^ 1), &hash);
             let mut dense = DenseAnnotator::new(s.live_store.clone(), cost);
-            let d = static_signature(&s, evaluator, &mut dense, seed ^ 1);
+            let d = static_signature(&static_report(&s, evaluator, &mut dense, seed ^ 1), &dense);
             h == d
         };
         for engine in ["hash", "dense"] {
             let t0 = Instant::now();
-            let stats = run_trials(trials, seed, 2, |trial_seed| match engine {
-                "hash" => {
-                    let mut ann = SimulatedAnnotator::new(&s.gold, cost);
-                    static_trial(&s, evaluator, &mut ann, trial_seed)
-                }
-                _ => {
-                    let mut ann = DenseAnnotator::new(s.live_store.clone(), cost);
-                    static_trial(&s, evaluator, &mut ann, trial_seed)
-                }
+            let stats = run_trials(trials, seed, 2, |trial_seed| {
+                let report = match engine {
+                    "hash" => {
+                        let mut ann = SimulatedAnnotator::new(&s.gold, cost);
+                        static_report(&s, evaluator, &mut ann, trial_seed)
+                    }
+                    _ => {
+                        let mut ann = DenseAnnotator::new(s.live_store.clone(), cost);
+                        static_report(&s, evaluator, &mut ann, trial_seed)
+                    }
+                };
+                trial_metrics(&s, report.estimate.mean, report.moe)
             });
             let coverage = stats[0].mean();
             cells.push(CellReport {
@@ -366,35 +345,24 @@ pub fn sweep_scenario(scenario: &Scenario, target: u64, trials: u64, seed: u64) 
     }
 
     for evaluator in DYNAMIC_EVALUATORS {
-        // Identity gate: engines must agree, and RS must also replay
-        // byte-identically under both offer paths × both engines.
-        let modes: &[OfferMode] = if evaluator == "RS" {
-            &[OfferMode::PerItem, OfferMode::Batched]
-        } else {
-            &[OfferMode::PerItem]
-        };
-        let sigs: Vec<Vec<u64>> = modes
-            .iter()
-            .flat_map(|&mode| {
-                let mut hash = SimulatedAnnotator::new(s.m.oracle.as_ref(), cost);
-                let h = dynamic_signature(&s, evaluator, mode, &mut hash, seed ^ 1);
-                let mut dense = DenseAnnotator::new(s.evolved_store.clone(), cost);
-                let d = dynamic_signature(&s, evaluator, mode, &mut dense, seed ^ 1);
-                [h, d]
-            })
-            .collect();
-        let identity = sigs.iter().all(|sig| sig == &sigs[0]);
+        // Identity gate: one seeded replay byte-compared across engines.
+        let [h, d] = dynamic_engine_signatures(&s, evaluator, seed ^ 1);
+        let identity = h == d;
         for engine in ["hash", "dense"] {
             let t0 = Instant::now();
-            let stats = run_trials(trials, seed, 2, |trial_seed| match engine {
-                "hash" => {
-                    let mut ann = SimulatedAnnotator::new(s.m.oracle.as_ref(), cost);
-                    dynamic_trial(&s, evaluator, &mut ann, trial_seed)
-                }
-                _ => {
-                    let mut ann = DenseAnnotator::new(s.evolved_store.clone(), cost);
-                    dynamic_trial(&s, evaluator, &mut ann, trial_seed)
-                }
+            let stats = run_trials(trials, seed, 2, |trial_seed| {
+                let outcomes = match engine {
+                    "hash" => {
+                        let mut ann = SimulatedAnnotator::new(s.m.oracle.as_ref(), cost);
+                        dynamic_replay(&s, evaluator, &mut ann, trial_seed)
+                    }
+                    _ => {
+                        let mut ann = DenseAnnotator::new(s.evolved_store.clone(), cost);
+                        dynamic_replay(&s, evaluator, &mut ann, trial_seed)
+                    }
+                };
+                let last = outcomes.last().expect("non-empty stream");
+                trial_metrics(&s, last.estimate.mean, last.moe)
             });
             let coverage = stats[0].mean();
             cells.push(CellReport {

@@ -15,7 +15,7 @@ use crate::Opts;
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
-use kg_eval::sharded::{ShardDesign, ShardedReplay};
+use kg_eval::sharded::{ShardDesign, ShardedReplay, DEFAULT_SHARD_UNITS};
 use kg_sampling::PopulationIndex;
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ pub fn run(opts: &Opts) -> String {
     format!(
         "sharded replay determinism dump (shard_units {}; results must be \
          byte-identical at any KG_EVAL_SHARDS)\n{}",
-        replay.shard_units(),
+        DEFAULT_SHARD_UNITS,
         table.render()
     )
 }

@@ -1,12 +1,16 @@
 //! Byte-identity gate for the deletion-aware evolving path: a full churn
 //! replay — insertions, retractions, and revisions — must produce
 //! bitwise-identical per-event estimates, costs, and reservoir accounting
-//! across the two annotation engines AND across the batched / per-item
-//! offer paths, at every delete fraction. CI's determinism job runs this
-//! test; the same checks are recorded into `BENCH_churn.json` by
-//! `bench-report --churn`.
+//! across the two annotation engines, at every delete fraction. CI's
+//! determinism job runs this test; the same check is recorded into
+//! `BENCH_churn.json` by `bench-report --churn`. RS's one offer path must
+//! also match the retired per-item reference, recorded as golden fixtures
+//! (see `offer_identity`), at every delete fraction.
 
-use kg_bench::churn::{engines_agree, offer_modes_agree, FRACTIONS};
+use kg_bench::churn::{engines_agree, FRACTIONS};
+
+mod fixtures;
+use fixtures::assert_churn_matches;
 
 #[test]
 fn churn_replay_is_identical_across_engines_at_every_fraction() {
@@ -22,10 +26,7 @@ fn churn_replay_is_identical_across_engines_at_every_fraction() {
 #[test]
 fn churn_replay_is_identical_across_offer_paths() {
     for &fraction in &FRACTIONS {
-        assert!(
-            offer_modes_agree(3_000, fraction, 99),
-            "offer paths diverged at delete fraction {fraction}"
-        );
+        assert_churn_matches(3_000, fraction, 99);
     }
 }
 
@@ -35,5 +36,4 @@ fn churn_replay_is_identical_across_offer_paths() {
 #[ignore = "slow: larger-scale replay, run with --ignored"]
 fn churn_replay_is_identical_at_scale() {
     assert!(engines_agree(200_000, 0.5, 7));
-    assert!(offer_modes_agree(200_000, 0.5, 7));
 }

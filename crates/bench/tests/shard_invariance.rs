@@ -16,7 +16,7 @@ use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
 use kg_bench::throughput::synthetic_sizes;
 use kg_eval::framework::Evaluator;
-use kg_eval::sharded::{ShardReplayReport, ShardedReplay};
+use kg_eval::sharded::{ShardDesign, ShardReplayReport, ShardedReplay};
 use kg_sampling::PopulationIndex;
 use std::sync::Arc;
 
@@ -48,13 +48,20 @@ fn sharded_replays_are_bitwise_equal_at_1_and_7_shard_workers_on_both_engines() 
     let seven = ShardedReplay::new().with_shard_workers(7);
 
     for evaluator in [Evaluator::wcs(), Evaluator::twcs(5)] {
+        let design = ShardDesign::from_design(evaluator.design()).expect("WCS/TWCS are shardable");
+        let hash = |replay: &ShardedReplay| {
+            replay.replay_hash(
+                design,
+                &idx,
+                &oracle,
+                CostModel::default(),
+                units,
+                trial_seed,
+            )
+        };
         // Hash engine.
-        let h1 = evaluator
-            .replay_sharded(&idx, &oracle, &one, units, trial_seed)
-            .expect("WCS/TWCS are shardable");
-        let h7 = evaluator
-            .replay_sharded(&idx, &oracle, &seven, units, trial_seed)
-            .expect("WCS/TWCS are shardable");
+        let h1 = hash(&one);
+        let h7 = hash(&seven);
         assert_eq!(
             bits(&h1),
             bits(&h7),
@@ -66,12 +73,8 @@ fn sharded_replays_are_bitwise_equal_at_1_and_7_shard_workers_on_both_engines() 
         assert!((h1.estimate.mean - 0.9).abs() < 0.03);
 
         // Dense engine, arenas batch-leased from one shared pool.
-        let d1 = evaluator
-            .replay_sharded_dense(&idx, &pool, &one, units, trial_seed)
-            .expect("WCS/TWCS are shardable");
-        let d7 = evaluator
-            .replay_sharded_dense(&idx, &pool, &seven, units, trial_seed)
-            .expect("WCS/TWCS are shardable");
+        let d1 = one.replay_dense(design, &idx, &pool, units, trial_seed);
+        let d7 = seven.replay_dense(design, &idx, &pool, units, trial_seed);
         assert_eq!(
             bits(&d1),
             bits(&d7),
@@ -96,18 +99,13 @@ fn sharded_replays_are_bitwise_equal_at_1_and_7_shard_workers_on_both_engines() 
 
 #[test]
 fn unshardable_designs_decline_rather_than_drift() {
-    let idx = Arc::new(PopulationIndex::from_sizes(vec![3; 100]).expect("non-empty KG"));
-    let oracle = RemOracle::new(0.9, 1);
-    let replay = ShardedReplay::new().with_shard_workers(2);
     for evaluator in [
         Evaluator::srs(),
         Evaluator::rcs(),
         Evaluator::twcs_size_stratified(5, 3),
     ] {
         assert!(
-            evaluator
-                .replay_sharded(&idx, &oracle, &replay, 100, 0)
-                .is_none(),
+            ShardDesign::from_design(evaluator.design()).is_none(),
             "{:?} must not pretend to shard",
             evaluator.design()
         );

@@ -9,6 +9,7 @@
 //! tier-1 suite (this test included) under `KG_EVAL_WORKERS=1` and `=4`
 //! and additionally diffs whole `repro` metric dumps across worker counts.
 
+use kg_annotate::annotator::SimulatedAnnotator;
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
@@ -17,11 +18,22 @@ use kg_eval::config::EvalConfig;
 use kg_eval::executor::{run_trials, TrialExecutor};
 use kg_eval::framework::{Evaluator, TrialAggregate};
 use kg_sampling::PopulationIndex;
+use kg_stats::RunningMoments;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Every aggregate metric as (mean bits, sample-std bits, count).
-fn bits(a: &TrialAggregate) -> Vec<(u64, u64, u64)> {
-    [
+/// Every metric as (mean bits, sample-std bits, count).
+fn bits<'a>(stats: impl IntoIterator<Item = &'a RunningMoments>) -> Vec<(u64, u64, u64)> {
+    stats
+        .into_iter()
+        .map(|m| (m.mean().to_bits(), m.sample_std().to_bits(), m.count()))
+        .collect()
+}
+
+/// Every aggregate metric, in `TrialAggregate` field order.
+fn aggregate_bits(a: &TrialAggregate) -> Vec<(u64, u64, u64)> {
+    bits([
         &a.estimate,
         &a.moe,
         &a.cost_seconds,
@@ -29,10 +41,7 @@ fn bits(a: &TrialAggregate) -> Vec<(u64, u64, u64)> {
         &a.triples_annotated,
         &a.entities_identified,
         &a.converged,
-    ]
-    .iter()
-    .map(|m| (m.mean().to_bits(), m.sample_std().to_bits(), m.count()))
-    .collect()
+    ])
 }
 
 #[test]
@@ -47,23 +56,50 @@ fn trial_aggregates_are_bitwise_equal_at_1_and_7_workers_on_both_engines() {
     let one = TrialExecutor::new().with_workers(1);
     let seven = TrialExecutor::new().with_workers(7);
 
-    // Hash engine.
-    let h1 = evaluator.run_trials(&idx, &oracle, &config, &one, trials, base_seed);
-    let h7 = evaluator.run_trials(&idx, &oracle, &config, &seven, trials, base_seed);
+    // Hash engine: each trial by hand on a fresh annotator, in the
+    // `TrialAggregate` metric order.
+    let hash = |exec: &TrialExecutor| {
+        exec.run(trials, base_seed, 7, |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ann = SimulatedAnnotator::new(&oracle, CostModel::default());
+            let r = evaluator
+                .run_with_annotator(idx.clone(), &oracle, &mut ann, &config, &mut rng)
+                .expect("prebuilt index");
+            vec![
+                r.estimate.mean,
+                r.moe,
+                r.cost_seconds,
+                r.units as f64,
+                r.triples_annotated as f64,
+                r.entities_identified as f64,
+                r.converged as u64 as f64,
+            ]
+        })
+    };
+    let h1 = hash(&one);
+    let h7 = hash(&seven);
     assert_eq!(bits(&h1), bits(&h7), "hash engine drifted with workers");
-    assert_eq!(h1.estimate.count(), trials);
-    assert_eq!(h1.converged.mean(), 1.0);
-    assert!((h1.estimate.mean() - 0.9).abs() < 0.03);
+    assert_eq!(h1[0].count(), trials);
+    assert_eq!(h1[6].mean(), 1.0);
+    assert!((h1[0].mean() - 0.9).abs() < 0.03);
 
     // Dense engine, arenas leased per worker from one shared pool.
     let store = Arc::new(idx.materialize_labels(&oracle));
     let pool = DenseArenaPool::new(store, CostModel::default());
-    let d1 = evaluator.run_trials_dense(&idx, &oracle, &pool, &config, &one, trials, base_seed);
-    let d7 = evaluator.run_trials_dense(&idx, &oracle, &pool, &config, &seven, trials, base_seed);
-    assert_eq!(bits(&d1), bits(&d7), "dense engine drifted with workers");
+    let d1 = evaluator.run_trials(&idx, &oracle, &pool, &config, &one, trials, base_seed);
+    let d7 = evaluator.run_trials(&idx, &oracle, &pool, &config, &seven, trials, base_seed);
+    assert_eq!(
+        aggregate_bits(&d1),
+        aggregate_bits(&d7),
+        "dense engine drifted with workers"
+    );
 
     // And the engines agree with each other, bit for bit.
-    assert_eq!(bits(&h1), bits(&d1), "hash and dense engines disagree");
+    assert_eq!(
+        bits(&h1),
+        aggregate_bits(&d1),
+        "hash and dense engines disagree"
+    );
     assert!(
         pool.arenas_built() <= 8,
         "arenas must be per worker, not per trial (built {})",

@@ -8,11 +8,7 @@
 //! to the annotator (see [`IncrementalEvaluator`]), so the same sequence
 //! runs unchanged over the hash `SimulatedAnnotator` or a growable
 //! `DenseAnnotator` — the evolving-KG benchmark (`bench-report --churn`)
-//! replays identical streams under both. It is equally offer-mode
-//! agnostic: the reservoir evaluator's batched offer path (see
-//! [`crate::dynamic::reservoir::OfferMode`]) is bitwise identical to the
-//! per-item loop, so sequences replayed here match across that axis too —
-//! regression-tested below and byte-diffed in CI.
+//! replays identical streams under both.
 
 use crate::dynamic::IncrementalEvaluator;
 use crate::executor::TrialExecutor;
@@ -371,82 +367,6 @@ mod tests {
         }
         assert_eq!(hash.seconds().to_bits(), dense.seconds().to_bits());
         assert_eq!(hash.triples_annotated(), dense.triples_annotated());
-    }
-
-    #[test]
-    fn batched_offers_replay_byte_identically_to_per_item_under_both_engines() {
-        use crate::dynamic::reservoir::OfferMode;
-        use kg_annotate::annotator::Annotator;
-        use kg_annotate::dense::DenseAnnotator;
-        use kg_annotate::label_store::LabelStore;
-        use std::sync::Arc;
-
-        let base = ImplicitKg::new((0..600).map(|i| 1 + (i % 9)).collect()).unwrap();
-        let oracle = RemOracle::new(0.88, 13);
-        let batches: Vec<UpdateBatch> = (0..5)
-            .map(|i| UpdateBatch::from_sizes(vec![2 + (i % 3); 80]).unwrap())
-            .collect();
-
-        let run = |mode: OfferMode, annotator: &mut dyn Annotator| {
-            let mut rng = StdRng::seed_from_u64(23);
-            let mut rs = ReservoirEvaluator::evaluate_base_with_mode(
-                &base,
-                45,
-                5,
-                EvalConfig::default(),
-                mode,
-                annotator,
-                &mut rng,
-            );
-            let out = run_sequence(&mut rs, &batches, 0.05, annotator, &mut rng);
-            (out, rs.replacements(), rs.total_triples())
-        };
-
-        let mut store = LabelStore::materialize(&base, &oracle);
-        for b in &batches {
-            store.extend_with_batch(b, &oracle);
-        }
-        let store = Arc::new(store);
-
-        for engine in ["hash", "dense"] {
-            let mk = |mode: OfferMode| match engine {
-                "hash" => {
-                    let mut ann = SimulatedAnnotator::new(&oracle, CostModel::default());
-                    let r = run(mode, &mut ann);
-                    (r, ann.seconds(), ann.triples_annotated())
-                }
-                _ => {
-                    let mut ann = DenseAnnotator::new(store.clone(), CostModel::default());
-                    let r = run(mode, &mut ann);
-                    (r, ann.seconds(), ann.triples_annotated())
-                }
-            };
-            let ((per_item, rep_a, tot_a), sec_a, ann_a) = mk(OfferMode::PerItem);
-            let ((batched, rep_b, tot_b), sec_b, ann_b) = mk(OfferMode::Batched);
-            assert_eq!(rep_a, rep_b, "{engine}: replacement counts diverged");
-            assert_eq!(tot_a, tot_b);
-            assert_eq!(sec_a.to_bits(), sec_b.to_bits(), "{engine}: cost diverged");
-            assert_eq!(ann_a, ann_b);
-            assert_eq!(per_item.len(), batched.len());
-            for (p, b) in per_item.iter().zip(&batched) {
-                assert_eq!(
-                    p.estimate.mean.to_bits(),
-                    b.estimate.mean.to_bits(),
-                    "{engine}: batch {} estimate diverged",
-                    p.batch
-                );
-                assert_eq!(
-                    p.estimate.var_of_mean.to_bits(),
-                    b.estimate.var_of_mean.to_bits()
-                );
-                assert_eq!(p.estimate.units, b.estimate.units);
-                assert_eq!(p.moe.to_bits(), b.moe.to_bits());
-                assert_eq!(
-                    p.batch_cost_seconds.to_bits(),
-                    b.batch_cost_seconds.to_bits()
-                );
-            }
-        }
     }
 
     #[test]

@@ -29,39 +29,21 @@ use kg_stats::{PointEstimate, RunningMoments};
 use rand::RngCore;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How the evaluator feeds cluster streams into its A-ExpJ reservoir.
-/// Both modes are **bitwise identical** in every observable — RNG draws,
-/// reservoir members, eviction order, estimates; the only difference is
-/// the shape of the bookkeeping loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OfferMode {
-    /// One `offer` call per cluster — the reference formulation, kept for
-    /// identity regression (CI byte-diffs a replay under both modes).
-    PerItem,
-    /// `offer_batch` over the batch's cached weight prefix, with the PPS
-    /// frame adopting that prefix as an O(1) shared segment: per-batch
-    /// skeleton work is O(a·log|Δ|) for `a` reservoir acceptances — no
-    /// per-cluster loop at all.
-    #[default]
-    Batched,
-}
-
 /// Reservoir-based incremental evaluator (RS in §7.3).
 ///
 /// Engine-agnostic: `apply_update` announces each batch to the annotator
 /// via [`Annotator::extend_population`] before touching its delta-minted
 /// ids, so the dense arena grows in lock-step and either engine drives the
-/// evaluator identically. Per-batch skeleton work is **sublinear in |Δ|**
-/// (default [`OfferMode::Batched`]): the A-ExpJ reservoir binary-searches
-/// each jump's landing index over the batch's cached weight prefix instead
-/// of subtract-and-compare per cluster, and the [`GrowablePps`] top-up
+/// evaluator identically. Per-batch skeleton work is **sublinear in |Δ|**:
+/// the A-ExpJ reservoir binary-searches each jump's landing index over the
+/// batch's cached weight prefix instead of subtract-and-compare per
+/// cluster, and the [`GrowablePps`] top-up
 /// frame *adopts* the same prefix as an `Arc`-shared segment in O(1) — no
 /// weight is copied, nothing is rebuilt over the whole evolved KG, and the
 /// per-cluster loop disappears from the hot path entirely.
 pub struct ReservoirEvaluator {
     m: usize,
     config: EvalConfig,
-    offer_mode: OfferMode,
     /// Every mutable field — extractable for checkpoint/restore.
     pub(crate) state: ReservoirState,
     /// Reusable second-stage offset buffer (pure scratch — not state).
@@ -82,48 +64,15 @@ impl ReservoirEvaluator {
         annotator: &mut dyn Annotator,
         rng: &mut dyn RngCore,
     ) -> Self {
-        Self::evaluate_base_with_mode(
-            base,
-            capacity,
-            m,
-            config,
-            OfferMode::default(),
-            annotator,
-            rng,
-        )
-    }
-
-    /// [`Self::evaluate_base`] with an explicit [`OfferMode`] — the
-    /// per-item mode exists so CI (and the skeleton benchmark) can
-    /// byte-diff whole replays against the batched default.
-    pub fn evaluate_base_with_mode(
-        base: &ImplicitKg,
-        capacity: usize,
-        m: usize,
-        config: EvalConfig,
-        offer_mode: OfferMode,
-        annotator: &mut dyn Annotator,
-        rng: &mut dyn RngCore,
-    ) -> Self {
         let mut reservoir = WeightedReservoirExpJ::new(capacity);
         let pps = GrowablePps::from_sizes(base.sizes()).expect("cluster sizes are positive");
-        match offer_mode {
-            OfferMode::Batched => {
-                // The PPS frame's prefix sums double as the base stream's
-                // cumulative weights: one binary search per acceptance
-                // replaces N subtract-and-compare offers.
-                reservoir.offer_batch(rng, pps.prefix(), |c| c as u32, |_, _, _| {});
-            }
-            OfferMode::PerItem => {
-                for (c, &s) in base.sizes().iter().enumerate() {
-                    reservoir.offer(rng, c as u32, s as f64);
-                }
-            }
-        }
+        // The PPS frame's prefix sums double as the base stream's
+        // cumulative weights: one binary search per acceptance replaces N
+        // subtract-and-compare offers.
+        reservoir.offer_batch(rng, pps.prefix(), |c| c as u32, |_, _, _| {});
         let mut this = ReservoirEvaluator {
             m,
             config,
-            offer_mode,
             state: ReservoirState {
                 reservoir,
                 member_accuracy: BTreeMap::new(),
@@ -139,14 +88,12 @@ impl ReservoirEvaluator {
     }
 
     /// Rebuild an evaluator around restored [`ReservoirState`] — the
-    /// checkpoint/restore path, on the default [`OfferMode::Batched`]
-    /// path. `m` and `config` are spec, not state: the session record
-    /// carries them alongside the state bytes.
+    /// checkpoint/restore path. `m` and `config` are spec, not state: the
+    /// session record carries them alongside the state bytes.
     pub fn from_state(state: ReservoirState, m: usize, config: EvalConfig) -> Self {
         ReservoirEvaluator {
             m,
             config,
-            offer_mode: OfferMode::Batched,
             state,
             scratch: Vec::with_capacity(m),
         }
@@ -160,11 +107,6 @@ impl ReservoirEvaluator {
     /// Extract the state, consuming the evaluator.
     pub fn into_state(self) -> MonitorState {
         MonitorState::Reservoir(self.state)
-    }
-
-    /// The configured offer mode.
-    pub fn offer_mode(&self) -> OfferMode {
-        self.offer_mode
     }
 
     /// Shift every *currently annotated* accuracy by `bias` (clamped to
@@ -269,80 +211,45 @@ impl IncrementalEvaluator for ReservoirEvaluator {
         self.state.extras.clear();
         let batch_max = delta.delta_sizes().iter().copied().max().unwrap_or(0);
         self.state.max_gross_weight = self.state.max_gross_weight.max(batch_max.into());
-        match self.offer_mode {
-            OfferMode::Batched => {
-                // O(1) skeleton growth: the batch's cached weight prefix is
-                // adopted as a shared PPS segment (no weight copied), then
-                // one binary search per reservoir acceptance replaces the
-                // offer call per Δe cluster. Annotation draws interleave
-                // with the offer stream through the callback exactly where
-                // the per-item loop puts them.
-                let first = self.state.pps.len() as u32;
-                self.state
-                    .pps
-                    .extend_shared(delta.weight_prefix_shared())
-                    .expect("Δe groups are non-empty");
-                let m = self.m;
-                let ReservoirState {
-                    reservoir,
-                    member_accuracy,
-                    ..
-                } = &mut self.state;
-                let scratch = &mut self.scratch;
-                let delta_sizes = delta.delta_sizes();
-                reservoir.offer_batch(
-                    rng,
-                    delta.weight_prefix(),
-                    |i| first + i as u32,
-                    |rng, i, outcome| {
-                        if let OfferOutcome::Replaced(evicted) = &outcome {
-                            member_accuracy.remove(&evicted.item);
-                        }
-                        let acc = annotate_cluster_subset(
-                            first + i as u32,
-                            delta_sizes[i] as usize,
-                            m,
-                            rng,
-                            &mut *annotator,
-                            scratch,
-                        );
-                        member_accuracy.insert(first + i as u32, acc);
-                    },
-                );
-            }
-            OfferMode::PerItem => {
-                for &dsize in delta.delta_sizes() {
-                    let id = self.state.pps.len() as u32;
-                    self.state.pps.push(dsize).expect("Δe groups are non-empty");
-                    match self.state.reservoir.offer(rng, id, dsize as f64) {
-                        OfferOutcome::Inserted => {
-                            let acc = annotate_cluster_subset(
-                                id,
-                                dsize as usize,
-                                self.m,
-                                rng,
-                                annotator,
-                                &mut self.scratch,
-                            );
-                            self.state.member_accuracy.insert(id, acc);
-                        }
-                        OfferOutcome::Replaced(evicted) => {
-                            self.state.member_accuracy.remove(&evicted.item);
-                            let acc = annotate_cluster_subset(
-                                id,
-                                dsize as usize,
-                                self.m,
-                                rng,
-                                annotator,
-                                &mut self.scratch,
-                            );
-                            self.state.member_accuracy.insert(id, acc);
-                        }
-                        OfferOutcome::Rejected => {}
-                    }
+        // O(1) skeleton growth: the batch's cached weight prefix is adopted
+        // as a shared PPS segment (no weight copied), then one binary search
+        // per reservoir acceptance replaces the offer call per Δe cluster.
+        // Annotation draws interleave with the offer stream through the
+        // callback — evict, then annotate the newcomer, before the next
+        // jump — the RNG order of Algorithm 1's one-offer-per-Δe loop,
+        // which the `offer_identity` fixtures pin.
+        let first = self.state.pps.len() as u32;
+        self.state
+            .pps
+            .extend_shared(delta.weight_prefix_shared())
+            .expect("Δe groups are non-empty");
+        let m = self.m;
+        let ReservoirState {
+            reservoir,
+            member_accuracy,
+            ..
+        } = &mut self.state;
+        let scratch = &mut self.scratch;
+        let delta_sizes = delta.delta_sizes();
+        reservoir.offer_batch(
+            rng,
+            delta.weight_prefix(),
+            |i| first + i as u32,
+            |rng, i, outcome| {
+                if let OfferOutcome::Replaced(evicted) = &outcome {
+                    member_accuracy.remove(&evicted.item);
                 }
-            }
-        }
+                let acc = annotate_cluster_subset(
+                    first + i as u32,
+                    delta_sizes[i] as usize,
+                    m,
+                    rng,
+                    &mut *annotator,
+                    scratch,
+                );
+                member_accuracy.insert(first + i as u32, acc);
+            },
+        );
         self.top_up(annotator, rng);
         self.estimate()
     }

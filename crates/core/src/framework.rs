@@ -4,7 +4,6 @@
 use crate::config::EvalConfig;
 use crate::executor::TrialExecutor;
 use crate::report::EvaluationReport;
-use crate::sharded::{ShardDesign, ShardReplayReport, ShardedReplay};
 use crate::static_eval::run_static;
 use kg_annotate::annotator::{Annotator, SimulatedAnnotator};
 use kg_annotate::cost::CostModel;
@@ -21,11 +20,10 @@ use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// Per-metric aggregates over repeated seeded evaluations, produced by
-/// [`Evaluator::run_trials`] / [`Evaluator::run_trials_dense`]. Each field
-/// is a [`RunningMoments`] over one [`EvaluationReport`] metric;
-/// `converged.mean()` is the convergence rate. Aggregation runs on the
-/// [`TrialExecutor`], so every moment is bitwise identical at any worker
-/// count.
+/// [`Evaluator::run_trials`]. Each field is a [`RunningMoments`] over one
+/// [`EvaluationReport`] metric; `converged.mean()` is the convergence rate.
+/// Aggregation runs on the [`TrialExecutor`], so every moment is bitwise
+/// identical at any worker count.
 #[derive(Debug, Clone)]
 pub struct TrialAggregate {
     /// Trials executed.
@@ -197,46 +195,22 @@ impl Evaluator {
         Ok(run_static(design.as_mut(), annotator, config, rng))
     }
 
-    /// Run `trials` independent seeded evaluations on the hash engine — a
-    /// fresh [`SimulatedAnnotator`] per trial, exactly the semantics every
-    /// repeated-trial experiment always had — sharded across the
-    /// executor's workers. Trial `i` uses the counter-based seed
+    /// Run `trials` independent seeded evaluations, sharded across the
+    /// executor's workers. Each worker leases one reusable dense arena from
+    /// `pool` for its whole lifetime and `reset()`s it per trial, so arenas
+    /// are built at most once per worker instead of once per trial. Trial
+    /// `i` uses the counter-based seed
     /// [`crate::executor::trial_seed`]`(base_seed, i)` for its sampling
     /// RNG, and the aggregates are **bitwise identical at any worker
     /// count**.
-    pub fn run_trials(
-        &self,
-        index: &Arc<PopulationIndex>,
-        oracle: &dyn LabelOracle,
-        config: &EvalConfig,
-        exec: &TrialExecutor,
-        trials: u64,
-        base_seed: u64,
-    ) -> TrialAggregate {
-        let stats = exec.run(trials, base_seed, TrialAggregate::METRICS, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut annotator = SimulatedAnnotator::new(oracle, self.cost);
-            let report = self
-                .run_with_annotator(index.clone(), oracle, &mut annotator, config, &mut rng)
-                .expect("static evaluation over a prebuilt index is infallible");
-            TrialAggregate::metrics_of(&report)
-        });
-        TrialAggregate::from_stats(trials, stats)
-    }
-
-    /// [`Evaluator::run_trials`] on the dense engine: each worker leases
-    /// one reusable arena from `pool` for its whole lifetime and `reset()`s
-    /// it per trial, so arenas are built at most once per worker instead of
-    /// once per trial. Identical draw sequences make the aggregates
-    /// byte-identical to [`Evaluator::run_trials`] with the matching
-    /// oracle and cost model (and, as above, to any worker count).
     ///
     /// `oracle` is still consulted by stratification strategies that rank
-    /// clusters; the leased arenas read labels from the pool's store.
+    /// clusters; the leased arenas read labels, and their cost model, from
+    /// the pool.
     // One parameter per independent experiment knob; bundling them into a
     // one-off struct would only rename the arity.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_trials_dense(
+    pub fn run_trials(
         &self,
         index: &Arc<PopulationIndex>,
         oracle: &dyn LabelOracle,
@@ -261,40 +235,6 @@ impl Evaluator {
             },
         );
         TrialAggregate::from_stats(trials, stats)
-    }
-
-    /// Sharded single-trial replay on the hash engine: the trial's cluster
-    /// walk is partitioned into fixed shards and fanned out across
-    /// `replay`'s workers (see [`crate::sharded`] for the invariance
-    /// recipe and the one-time stream change vs. the adaptive loop).
-    /// Returns `None` when the design's visit sequence is not
-    /// flat-partitionable (SRS, RCS, stratified designs).
-    pub fn replay_sharded(
-        &self,
-        index: &PopulationIndex,
-        oracle: &dyn LabelOracle,
-        replay: &ShardedReplay,
-        units: u64,
-        trial_seed: u64,
-    ) -> Option<ShardReplayReport> {
-        let design = ShardDesign::from_design(&self.design)?;
-        Some(replay.replay_hash(design, index, oracle, self.cost, units, trial_seed))
-    }
-
-    /// [`Evaluator::replay_sharded`] on the dense engine: one arena per
-    /// shard worker, leased from `pool` in a single lock acquisition.
-    /// Byte-identical to the hash path over the matching oracle and cost
-    /// model.
-    pub fn replay_sharded_dense(
-        &self,
-        index: &PopulationIndex,
-        pool: &DenseArenaPool,
-        replay: &ShardedReplay,
-        units: u64,
-        trial_seed: u64,
-    ) -> Option<ShardReplayReport> {
-        let design = ShardDesign::from_design(&self.design)?;
-        Some(replay.replay_dense(design, index, pool, units, trial_seed))
     }
 }
 
@@ -390,7 +330,7 @@ mod tests {
     }
 
     fn aggregate_bits(a: &TrialAggregate) -> Vec<(u64, u64, u64)> {
-        [
+        moments_bits([
             &a.estimate,
             &a.moe,
             &a.cost_seconds,
@@ -398,10 +338,37 @@ mod tests {
             &a.triples_annotated,
             &a.entities_identified,
             &a.converged,
-        ]
-        .iter()
-        .map(|m| (m.mean().to_bits(), m.sample_std().to_bits(), m.count()))
-        .collect()
+        ])
+    }
+
+    fn moments_bits<'a>(
+        stats: impl IntoIterator<Item = &'a RunningMoments>,
+    ) -> Vec<(u64, u64, u64)> {
+        stats
+            .into_iter()
+            .map(|m| (m.mean().to_bits(), m.sample_std().to_bits(), m.count()))
+            .collect()
+    }
+
+    /// The hash-engine reference: each trial by hand on a fresh
+    /// `SimulatedAnnotator`, aggregated by the same executor reduction.
+    fn hash_reference(
+        eval: &Evaluator,
+        idx: &Arc<PopulationIndex>,
+        oracle: &RemOracle,
+        config: &EvalConfig,
+        exec: &TrialExecutor,
+        trials: u64,
+        base_seed: u64,
+    ) -> Vec<RunningMoments> {
+        exec.run(trials, base_seed, TrialAggregate::METRICS, |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut annotator = SimulatedAnnotator::new(oracle, CostModel::default());
+            let report = eval
+                .run_with_annotator(idx.clone(), oracle, &mut annotator, config, &mut rng)
+                .unwrap();
+            TrialAggregate::metrics_of(&report)
+        })
     }
 
     #[test]
@@ -409,13 +376,17 @@ mod tests {
         let kg = kg();
         let oracle = RemOracle::new(0.85, 12);
         let idx = Arc::new(PopulationIndex::from_population(&kg).unwrap());
+        let pool = DenseArenaPool::new(
+            Arc::new(idx.materialize_labels(&oracle)),
+            CostModel::default(),
+        );
         let config = EvalConfig::default();
         let eval = Evaluator::twcs(5);
         let trials = 12u64;
         let one = TrialExecutor::new().with_workers(1);
         let many = TrialExecutor::new().with_workers(5);
-        let a = eval.run_trials(&idx, &oracle, &config, &one, trials, 400);
-        let b = eval.run_trials(&idx, &oracle, &config, &many, trials, 400);
+        let a = eval.run_trials(&idx, &oracle, &pool, &config, &one, trials, 400);
+        let b = eval.run_trials(&idx, &oracle, &pool, &config, &many, trials, 400);
         assert_eq!(a.trials, trials);
         assert_eq!(a.converged.mean(), 1.0);
         assert_eq!(aggregate_bits(&a), aggregate_bits(&b));
@@ -434,8 +405,6 @@ mod tests {
 
     #[test]
     fn dense_trials_are_byte_identical_to_hash_at_any_worker_count() {
-        use kg_annotate::lease::DenseArenaPool;
-
         let kg = kg();
         let oracle = RemOracle::new(0.85, 12);
         let idx = Arc::new(PopulationIndex::from_population(&kg).unwrap());
@@ -444,24 +413,10 @@ mod tests {
         let config = EvalConfig::default();
         let eval = Evaluator::wcs();
         let trials = 10u64;
-        let hash = eval.run_trials(
-            &idx,
-            &oracle,
-            &config,
-            &TrialExecutor::new().with_workers(3),
-            trials,
-            77,
-        );
-        let d3 = eval.run_trials_dense(
-            &idx,
-            &oracle,
-            &pool,
-            &config,
-            &TrialExecutor::new().with_workers(3),
-            trials,
-            77,
-        );
-        let d1 = eval.run_trials_dense(
+        let three = TrialExecutor::new().with_workers(3);
+        let hash = hash_reference(&eval, &idx, &oracle, &config, &three, trials, 77);
+        let d3 = eval.run_trials(&idx, &oracle, &pool, &config, &three, trials, 77);
+        let d1 = eval.run_trials(
             &idx,
             &oracle,
             &pool,
@@ -470,7 +425,7 @@ mod tests {
             trials,
             77,
         );
-        assert_eq!(aggregate_bits(&hash), aggregate_bits(&d3));
+        assert_eq!(moments_bits(&hash), aggregate_bits(&d3));
         assert_eq!(aggregate_bits(&d1), aggregate_bits(&d3));
         // Arenas were leased per worker, not per trial.
         assert!(pool.arenas_built() <= 4, "built {}", pool.arenas_built());

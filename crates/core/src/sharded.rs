@@ -8,9 +8,9 @@
 //! same invariance recipe one level down, into the trial itself:
 //!
 //! * **Fixed shard partition** — a replay of `units` cluster visits is cut
-//!   into `units.div_ceil(shard_units)` shards of [`ShardedReplay::shard_units`]
-//!   visits each. The partition is a pure function of `(units,
-//!   shard_units)`; [`ShardedReplay::with_shard_workers`] (and the
+//!   into `units.div_ceil(DEFAULT_SHARD_UNITS)` shards of
+//!   [`DEFAULT_SHARD_UNITS`] visits each. The partition is a pure function
+//!   of `units`; [`ShardedReplay::with_shard_workers`] (and the
 //!   `KG_EVAL_SHARDS` environment variable) only choose how many threads
 //!   *claim* those shards. Results are therefore invariant to the worker
 //!   count **by construction** — the same split PR 4 made between trial
@@ -104,30 +104,20 @@ impl ShardDesign {
     }
 }
 
-/// Configuration for a sharded replay: how large the fixed shards are and
-/// how many workers claim them.
-#[derive(Debug, Clone, Copy)]
+/// Configuration for a sharded replay: how many workers claim the fixed
+/// [`DEFAULT_SHARD_UNITS`]-visit shards.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShardedReplay {
     shard_workers: Option<NonZeroUsize>,
-    shard_units: usize,
 }
 
-/// Default cluster visits per shard. Part of the stream contract: changing
-/// it re-keys every shard substream past the first.
+/// Cluster visits per shard. Part of the stream contract: changing it
+/// re-keys every shard substream past the first.
 pub const DEFAULT_SHARD_UNITS: usize = 256;
 
-impl Default for ShardedReplay {
-    fn default() -> Self {
-        ShardedReplay {
-            shard_workers: None,
-            shard_units: DEFAULT_SHARD_UNITS,
-        }
-    }
-}
-
 impl ShardedReplay {
-    /// Replay with the default shard size and worker resolution
-    /// (`KG_EVAL_SHARDS`, else available parallelism).
+    /// Replay with the default worker resolution (`KG_EVAL_SHARDS`, else
+    /// available parallelism).
     pub fn new() -> Self {
         Self::default()
     }
@@ -139,21 +129,6 @@ impl ShardedReplay {
         self.shard_workers =
             Some(NonZeroUsize::new(workers).expect("shard worker count must be at least 1"));
         self
-    }
-
-    /// Override the shard size (≥ 1 visits per shard). **Changes the
-    /// stream**: the shard partition and every shard substream past the
-    /// first are keyed by this value, so two replays agree bitwise only
-    /// when their shard sizes agree.
-    pub fn with_shard_units(mut self, shard_units: usize) -> Self {
-        assert!(shard_units >= 1, "shard size must be at least 1");
-        self.shard_units = shard_units;
-        self
-    }
-
-    /// Visits per shard.
-    pub fn shard_units(&self) -> usize {
-        self.shard_units
     }
 
     /// The shard-worker count this replay resolves to right now (before
@@ -176,7 +151,7 @@ impl ShardedReplay {
 
     /// How many shards a replay of `units` visits splits into.
     pub fn num_shards(&self, units: u64) -> u64 {
-        units.div_ceil(self.shard_units as u64)
+        units.div_ceil(DEFAULT_SHARD_UNITS as u64)
     }
 
     /// Sharded replay on the hash engine: each worker owns one
@@ -247,15 +222,7 @@ impl ShardedReplay {
                 Vec::new()
             } else {
                 let ctx = ctxs.first_mut().expect("resolved_workers is at least 1");
-                vec![run_shard(
-                    design,
-                    index,
-                    units,
-                    trial_seed,
-                    0,
-                    self.shard_units,
-                    prep(ctx),
-                )]
+                vec![run_shard(design, index, units, trial_seed, 0, prep(ctx))]
             }
         } else {
             let cursor = AtomicU64::new(0);
@@ -273,15 +240,8 @@ impl ShardedReplay {
                                 if s >= shards {
                                     break;
                                 }
-                                let part = run_shard(
-                                    design,
-                                    index,
-                                    units,
-                                    trial_seed,
-                                    s,
-                                    self.shard_units,
-                                    prep(ctx),
-                                );
+                                let part =
+                                    run_shard(design, index, units, trial_seed, s, prep(ctx));
                                 done.push((s, part));
                             }
                             done
@@ -305,7 +265,7 @@ impl ShardedReplay {
                 .collect()
         };
         let merged = tree_merge(parts);
-        ShardReplayReport::from_merged(design, units, shards, self.shard_units, merged)
+        ShardReplayReport::from_merged(design, units, shards, merged)
     }
 }
 
@@ -337,11 +297,10 @@ fn run_shard(
     units: u64,
     trial_seed: u64,
     shard: u64,
-    shard_units: usize,
     annotator: &mut dyn Annotator,
 ) -> ShardPart {
-    let start = shard * shard_units as u64;
-    let end = (start + shard_units as u64).min(units);
+    let start = shard * DEFAULT_SHARD_UNITS as u64;
+    let end = (start + DEFAULT_SHARD_UNITS as u64).min(units);
     let mut rng = StdRng::seed_from_u64(shard_seed(trial_seed, shard));
     let mut part = ShardPart::default();
     match design {
@@ -433,13 +392,7 @@ pub struct ShardReplayReport {
 }
 
 impl ShardReplayReport {
-    fn from_merged(
-        design: ShardDesign,
-        units: u64,
-        shards: u64,
-        shard_units: usize,
-        merged: ShardPart,
-    ) -> Self {
+    fn from_merged(design: ShardDesign, units: u64, shards: u64, merged: ShardPart) -> Self {
         let n = merged.accuracies.count() as usize;
         let estimate = if n == 0 {
             PointEstimate::uninformative()
@@ -455,7 +408,7 @@ impl ShardReplayReport {
             design: design.name(),
             units,
             shards,
-            shard_units,
+            shard_units: DEFAULT_SHARD_UNITS,
             estimate,
             accuracies: merged.accuracies,
             labeled: merged.labeled,
@@ -570,31 +523,25 @@ mod tests {
 
     #[test]
     fn shard_units_partitions_the_walk() {
-        let replay = ShardedReplay::new().with_shard_units(100);
-        assert_eq!(replay.num_shards(1000), 10);
-        assert_eq!(replay.num_shards(1001), 11);
+        let replay = ShardedReplay::new();
+        let units = DEFAULT_SHARD_UNITS as u64;
+        assert_eq!(replay.num_shards(10 * units), 10);
+        assert_eq!(replay.num_shards(10 * units + 1), 11);
         assert_eq!(replay.num_shards(0), 0);
-        assert_eq!(replay.shard_units(), 100);
-        // Different shard size ⇒ different stream (documented contract).
+        // A replay that spans several shards reports the fixed shard size
+        // and the partition it implies.
         let (_, oracle, idx) = setup();
-        let a = ShardedReplay::new().with_shard_workers(1).replay_hash(
+        let r = replay.with_shard_workers(1).replay_hash(
             ShardDesign::TwoStage { m: 3 },
             &idx,
             &oracle,
             CostModel::default(),
-            600,
+            3 * units - 1,
             7,
         );
-        let b = replay.with_shard_workers(1).replay_hash(
-            ShardDesign::TwoStage { m: 3 },
-            &idx,
-            &oracle,
-            CostModel::default(),
-            600,
-            7,
-        );
-        assert_eq!(a.units, b.units);
-        assert_ne!(a.estimate.mean.to_bits(), b.estimate.mean.to_bits());
+        assert_eq!(r.shard_units, DEFAULT_SHARD_UNITS);
+        assert_eq!(r.shards, 3);
+        assert_eq!(r.accuracies.count(), 3 * units - 1);
     }
 
     #[test]

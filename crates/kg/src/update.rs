@@ -106,8 +106,7 @@ impl UpdateBatch {
     /// construction: `weight_prefix()[j]` is the number of inserted
     /// triples in groups `0..j` (length `num_delta_clusters() + 1`,
     /// starting at 0, strictly increasing). This is the exact shape
-    /// consumed by `WeightedReservoirExpJ::offer_batch` and
-    /// `GrowablePps::extend_from_prefix` in kg-stats.
+    /// consumed by `WeightedReservoirExpJ::offer_batch` in kg-stats.
     pub fn weight_prefix(&self) -> &[u64] {
         &self.prefix
     }

@@ -17,12 +17,12 @@
 //! * [`alias`] — Walker/Vose alias tables for O(1) weighted sampling *with*
 //!   replacement, the first-stage sampler of WCS/TWCS (clusters drawn with
 //!   probability proportional to size, §5.2.2).
-//! * [`pps`] — growable prefix-sum PPS sampling: O(log N) draws with
-//!   amortized O(1) appends, so evolving-KG evaluators absorb update batches
+//! * [`pps`] — growable prefix-sum PPS sampling: O(log N) draws with O(1)
+//!   shared-segment appends, so evolving-KG evaluators absorb update batches
 //!   without rebuilding an alias table over the whole grown population.
-//! * [`reservoir`] — unweighted reservoir sampling (Vitter's Algorithm R) and
-//!   the weighted reservoir of Efraimidis–Spirakis (Algorithm A-Res with
-//!   exponential-jump skipping), the engine of the paper's Algorithm 1.
+//! * [`reservoir`] — the weighted reservoir of Efraimidis–Spirakis
+//!   (Algorithm A-Res, with exponential-jump skipping), the engine of the
+//!   paper's Algorithm 1.
 //! * [`stratify`] — the Dalenius–Hodges cumulative-√F stratification rule and
 //!   proportional/Neyman sample allocation (§5.3).
 //! * [`distr`] — non-uniform variate generation (Normal, LogNormal, Binomial,
@@ -70,7 +70,7 @@ pub use histogram::Histogram;
 pub use moments::RunningMoments;
 pub use normal::{erf, erfc, normal_cdf, normal_quantile, z_critical};
 pub use pps::GrowablePps;
-pub use reservoir::{Reservoir, WeightedReservoir, WeightedReservoirExpJ};
+pub use reservoir::{WeightedReservoir, WeightedReservoirExpJ};
 pub use stratify::{cum_sqrt_f_boundaries, Allocation, StratumBounds};
 
 /// Shared test-only RNG shims for the `ln(0)` edge regressions.

@@ -4,25 +4,21 @@
 //! rebuilt from scratch — O(N) — whenever a weight is appended, which is
 //! exactly what an evolving KG does on every update batch. [`GrowablePps`]
 //! trades the O(1) draw for an O(log N) binary search over prefix sums and
-//! in exchange supports cheap growth, two ways:
-//!
-//! * **item-wise** — [`GrowablePps::push`] / bulk
-//!   [`GrowablePps::extend_from_sizes`] /
-//!   [`GrowablePps::extend_from_prefix`] append to a flat *head* array,
-//!   amortized O(1) per item;
-//! * **shared segments** — [`GrowablePps::extend_shared`] adopts an already
-//!   materialized cumulative-weight slice (an evolving-KG `UpdateBatch`
-//!   caches its Δ prefix once at construction) as an `Arc`'d tail segment:
-//!   **O(1) per batch**, no copy at all. This is what makes the §6
-//!   evaluators' per-batch stream bookkeeping sublinear in |Δ| — the only
-//!   per-batch PPS cost is pushing one segment descriptor.
+//! in exchange grows in **O(1) per batch**: the base population is built
+//! once into a flat *head* ([`GrowablePps::from_sizes`]), and
+//! [`GrowablePps::extend_shared`] adopts each later batch's already
+//! materialized cumulative-weight slice (an evolving-KG `UpdateBatch` caches
+//! its Δ prefix once at construction) as an `Arc`'d tail segment, with no
+//! copy at all. This is what makes the §6 evaluators' per-batch stream
+//! bookkeeping sublinear in |Δ| — the only per-batch PPS cost is pushing one
+//! segment descriptor.
 //!
 //! A draw picks a uniform triple index in `[0, M)` and maps it to its
 //! cluster, so cluster `i` is selected with probability `M_i / M` — the same
 //! first-stage distribution as the alias table (the realized draw *streams*
 //! differ; both are exact PPS). The flat and segmented layouts locate the
-//! same item for every cumulative position, so the two growth styles are
-//! interchangeable without disturbing a single draw.
+//! same item for every cumulative position, so how a population was split
+//! into head and segments never disturbs a single draw.
 //!
 //! **Deletions** ride on top as a pending-decrement overlay
 //! ([`GrowablePps::decrement`]): the head prefix and the `Arc`-shared
@@ -67,9 +63,7 @@ struct Segment {
 /// Layout: a flat **head** (coarse + fine two-level search: draws
 /// binary-search a coarse array holding every `STRIDE`-th prefix, then
 /// finish inside one `STRIDE`-item window) plus zero or more `Arc`-shared
-/// **tail segments** adopted whole in O(1). Item-wise growth is only
-/// supported while no shared segment has been adopted — the §6 evaluators
-/// never mix the two styles on one sampler.
+/// **tail segments** adopted whole in O(1).
 #[derive(Debug, Clone)]
 pub struct GrowablePps {
     /// `prefix[i]` = total weight of head items `0..i`;
@@ -98,7 +92,7 @@ impl Default for GrowablePps {
 }
 
 impl GrowablePps {
-    /// Empty sampler (draws return an error until an item is pushed).
+    /// Empty sampler (draws panic until a segment is adopted).
     pub fn new() -> Self {
         GrowablePps {
             prefix: vec![0],
@@ -111,21 +105,25 @@ impl GrowablePps {
         }
     }
 
-    /// Sampler over initial weights. Zero weights are rejected — a
-    /// zero-size cluster cannot be drawn and would silently skew offsets.
+    /// Sampler whose head holds `sizes`, built in one pass. Zero weights
+    /// are rejected — a zero-size cluster cannot be drawn and would
+    /// silently skew offsets.
     pub fn from_sizes(sizes: &[u32]) -> Result<Self, StatsError> {
+        let mut prefix = Vec::with_capacity(sizes.len() + 1);
+        prefix.push(0u64);
+        let mut acc = 0u64;
+        for &s in sizes {
+            if s == 0 {
+                return Err(StatsError::invalid("size", "> 0", 0.0));
+            }
+            acc += s as u64;
+            prefix.push(acc);
+        }
         let mut this = Self::new();
-        this.extend_from_sizes(sizes)?;
-        Ok(this)
-    }
-
-    /// Sampler over a copied cumulative-weight slice (item `i` weighs
-    /// `prefix[i+1] - prefix[i]`; `prefix[0]` is an arbitrary base).
-    /// Equivalent to [`GrowablePps::from_sizes`] on the per-item diffs,
-    /// via the bulk head append.
-    pub fn from_prefix(prefix: &[u64]) -> Result<Self, StatsError> {
-        let mut this = Self::new();
-        this.extend_from_prefix(prefix)?;
+        this.prefix = prefix;
+        this.total = acc;
+        this.items = sizes.len();
+        this.sync_coarse();
         Ok(this)
     }
 
@@ -137,105 +135,6 @@ impl GrowablePps {
         let mut this = Self::new();
         this.extend_shared(prefix)?;
         Ok(this)
-    }
-
-    /// Whether item-wise growth is still allowed (no shared segment yet).
-    fn head_only(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Append one item with positive weight — amortized O(1). Errors after
-    /// a shared segment has been adopted (item-wise and segment growth
-    /// don't mix).
-    pub fn push(&mut self, size: u32) -> Result<(), StatsError> {
-        if size == 0 {
-            return Err(StatsError::invalid("size", "> 0", 0.0));
-        }
-        if !self.head_only() {
-            return Err(StatsError::invalid(
-                "push",
-                "item-wise growth before shared segments",
-                self.segments.len() as f64,
-            ));
-        }
-        let new_total = self.total + size as u64;
-        self.prefix.push(new_total);
-        if (self.prefix.len() - 1).is_multiple_of(STRIDE) {
-            self.coarse.push(new_total);
-        }
-        self.total = new_total;
-        self.items += 1;
-        Ok(())
-    }
-
-    /// Append a batch of items — one bulk pass, no rebuild, identical end
-    /// state to pushing each size. On a zero weight the sampler is left
-    /// unchanged (the partial append is rolled back before returning).
-    pub fn extend_from_sizes(&mut self, sizes: &[u32]) -> Result<(), StatsError> {
-        if !self.head_only() {
-            return Err(StatsError::invalid(
-                "extend_from_sizes",
-                "item-wise growth before shared segments",
-                self.segments.len() as f64,
-            ));
-        }
-        let rollback = self.prefix.len();
-        self.prefix.reserve(sizes.len());
-        let mut acc = self.total;
-        for &s in sizes {
-            if s == 0 {
-                self.prefix.truncate(rollback);
-                return Err(StatsError::invalid("size", "> 0", 0.0));
-            }
-            acc += s as u64;
-            self.prefix.push(acc);
-        }
-        self.total = acc;
-        self.items = self.prefix.len() - 1;
-        self.sync_coarse();
-        Ok(())
-    }
-
-    /// Append a batch of items by *copying* their cumulative-weight slice
-    /// into the head — the bulk counterpart of a `push` loop over the
-    /// diffs `prefix[i+1] - prefix[i]`, one offset-add pass plus a
-    /// coarse-frame top-up per batch. `prefix[0]` is an arbitrary base.
-    /// Zero weights (a non-increasing step) are rejected with the sampler
-    /// left unchanged. See [`GrowablePps::extend_shared`] for the O(1)
-    /// no-copy alternative.
-    pub fn extend_from_prefix(&mut self, prefix: &[u64]) -> Result<(), StatsError> {
-        if !self.head_only() {
-            return Err(StatsError::invalid(
-                "extend_from_prefix",
-                "item-wise growth before shared segments",
-                self.segments.len() as f64,
-            ));
-        }
-        let Some((&base_in, rest)) = prefix.split_first() else {
-            return Err(StatsError::invalid("prefix", "non-empty", 0.0));
-        };
-        let rollback = self.prefix.len();
-        let base = self.total;
-        self.prefix.reserve(rest.len());
-        // Fused validate-and-append: one read of the source, one write.
-        let mut prev = base_in;
-        let mut increasing = true;
-        // Wrapping arithmetic: a decreasing source step wraps the diff,
-        // but `increasing` flips false and the garbage rows are truncated
-        // away below, so only validated values ever survive.
-        self.prefix.extend(rest.iter().map(|&p| {
-            increasing &= p > prev;
-            prev = p;
-            base.wrapping_add(p.wrapping_sub(base_in))
-        }));
-        if !increasing {
-            self.prefix.truncate(rollback);
-            return Err(StatsError::invalid("size", "> 0", 0.0));
-        }
-        self.total = base + (prev - base_in);
-        self.items = self.prefix.len() - 1;
-        self.sync_coarse();
-        Ok(())
     }
 
     /// Adopt a shared cumulative-weight slice as a tail segment — **O(1)
@@ -254,8 +153,7 @@ impl GrowablePps {
         }
         // All validation happens before the first mutation, so a rejected
         // adoption leaves totals, item counts, and the segment list exactly
-        // as they were — the same all-or-nothing contract as the rollback
-        // in `extend_from_prefix`. The O(1) endpoint check catches a batch
+        // as they were. The O(1) endpoint check catches a batch
         // with non-positive net weight even in release builds; the O(n)
         // per-step strictness scan stays a debug assertion because every
         // `UpdateBatch` guarantees it at construction.
@@ -281,8 +179,8 @@ impl GrowablePps {
         Ok(())
     }
 
-    /// Top up the coarse level after bulk head growth, restoring the
-    /// push-path invariant `coarse[j] == prefix[j * STRIDE]`.
+    /// Top up the coarse level after the head was (re)built, restoring the
+    /// invariant `coarse[j] == prefix[j * STRIDE]`.
     fn sync_coarse(&mut self) {
         let mut j = self.coarse.len();
         while j * STRIDE < self.prefix.len() {
@@ -419,7 +317,8 @@ impl GrowablePps {
     /// Fold the pending overlay into a fresh flat head: item `j`'s stored
     /// weight becomes its live weight, with fully-dead items kept as
     /// zero-width plateau entries so item indices (cluster ids) never
-    /// shift. Segments are released and item-wise growth is re-enabled.
+    /// shift. Segments are released; later batches append new segments
+    /// past the rebuilt head.
     fn compact(&mut self) {
         let mut prefix = Vec::with_capacity(self.items + 1);
         prefix.push(0u64);
@@ -677,7 +576,7 @@ mod tests {
     #[test]
     fn growth_preserves_earlier_items_and_reweights() {
         let mut pps = GrowablePps::from_sizes(&[5, 5]).unwrap();
-        pps.extend_from_sizes(&[10]).unwrap();
+        pps.extend_shared(vec![0u64, 10].into()).unwrap();
         assert_eq!(pps.len(), 3);
         assert_eq!(pps.total(), 20);
         let mut rng = StdRng::seed_from_u64(9);
@@ -694,11 +593,11 @@ mod tests {
     #[test]
     fn zero_weights_rejected_and_empty_guarded() {
         assert!(GrowablePps::from_sizes(&[1, 0]).is_err());
+        assert!(GrowablePps::from_sizes(&[0, 1]).is_err());
         let mut pps = GrowablePps::new();
         assert!(pps.is_empty());
         assert_eq!(pps.total(), 0);
-        assert!(pps.push(0).is_err());
-        pps.push(4).unwrap();
+        pps.extend_shared(vec![0u64, 4].into()).unwrap();
         assert!(!pps.is_empty());
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(pps.sample(&mut rng), 0);
@@ -706,76 +605,59 @@ mod tests {
 
     #[test]
     fn two_level_locate_agrees_with_flat_search_across_strides() {
-        // Enough items to span several coarse blocks, with growth crossing
-        // block boundaries; every cumulative position must resolve to the
-        // same item a flat partition_point would give.
-        let mut pps = GrowablePps::new();
+        // Enough items to span several coarse blocks, with irregular
+        // weights straddling block boundaries; every cumulative position
+        // must resolve to the same item a flat partition_point would give.
         let check = |pps: &GrowablePps| {
             for t in 0..pps.total() {
                 let flat = pps.prefix.partition_point(|&p| p <= t) - 1;
                 assert_eq!(pps.locate(t), flat, "t {t}");
             }
         };
-        for i in 0..300u32 {
-            pps.push(1 + i % 7).unwrap();
-        }
-        check(&pps);
-        // Irregular growth: single pushes and a large batch.
-        pps.push(1000).unwrap();
-        pps.extend_from_sizes(&[2; 150]).unwrap();
+        let mut sizes: Vec<u32> = (0..300u32).map(|i| 1 + i % 7).collect();
+        check(&GrowablePps::from_sizes(&sizes).unwrap());
+        sizes.push(1000);
+        sizes.extend_from_slice(&[2; 150]);
+        let pps = GrowablePps::from_sizes(&sizes).unwrap();
         check(&pps);
         assert_eq!(pps.len(), 451);
     }
 
     #[test]
     fn bulk_appends_match_push_loop_exactly() {
-        // Same sizes through push, extend_from_sizes, and
-        // extend_from_prefix must yield identical prefix AND coarse
-        // arrays, across stride boundaries and interleaved growth.
+        // The one-pass head build must yield exactly the prefix AND coarse
+        // arrays of appending one item at a time, across stride
+        // boundaries.
         let sizes: Vec<u32> = (0..777u32).map(|i| 1 + (i * 31) % 11).collect();
-        let mut pushed = GrowablePps::new();
+        let mut prefix = vec![0u64];
+        let mut coarse = vec![0u64];
         for &s in &sizes {
-            pushed.push(s).unwrap();
+            let next = prefix.last().unwrap() + s as u64;
+            prefix.push(next);
+            if (prefix.len() - 1).is_multiple_of(STRIDE) {
+                coarse.push(next);
+            }
         }
         let bulk = GrowablePps::from_sizes(&sizes).unwrap();
-        assert_eq!(pushed.prefix, bulk.prefix);
-        assert_eq!(pushed.coarse, bulk.coarse);
-        let mut delta_prefix = vec![0u64];
-        let mut acc = 0u64;
-        for &s in &sizes {
-            acc += s as u64;
-            delta_prefix.push(acc);
-        }
-        let from_prefix = GrowablePps::from_prefix(&delta_prefix).unwrap();
-        assert_eq!(pushed.prefix, from_prefix.prefix);
-        assert_eq!(pushed.coarse, from_prefix.coarse);
-        assert_eq!(from_prefix.prefix(), &*pushed.prefix);
-        assert_eq!(pushed.total(), from_prefix.total());
-        assert_eq!(pushed.len(), from_prefix.len());
-        // Interleaved growth: push a few, bulk-extend, push again.
-        let mut a = GrowablePps::from_sizes(&sizes[..100]).unwrap();
-        a.extend_from_prefix(&delta_prefix[100..=500]).unwrap();
-        for &s in &sizes[500..] {
-            a.push(s).unwrap();
-        }
-        assert_eq!(a.prefix, pushed.prefix);
-        assert_eq!(a.coarse, pushed.coarse);
+        assert_eq!(bulk.prefix, prefix);
+        assert_eq!(bulk.coarse, coarse);
+        assert_eq!(bulk.prefix(), &prefix[..]);
+        assert_eq!(bulk.total(), *prefix.last().unwrap());
+        assert_eq!(bulk.len(), sizes.len());
     }
 
     #[test]
     fn shared_segments_locate_identically_to_flat_growth() {
-        // The same logical weights through (a) item-wise pushes and
-        // (b) head + adopted Arc segments must agree on every cumulative
-        // position, every item weight, and the totals — this is what makes
-        // O(1) batch adoption invisible to the draw stream.
+        // The same logical weights as (a) one flat head and (b) head +
+        // adopted Arc segments must agree on every cumulative position,
+        // every item weight, and the totals — this is what makes O(1)
+        // batch adoption invisible to the draw stream.
         let head_sizes: Vec<u32> = (0..150u32).map(|i| 1 + (i * 13) % 17).collect();
         let batch_a: Vec<u32> = (0..70u32).map(|i| 1 + (i * 7) % 23).collect();
         let batch_b: Vec<u32> = vec![3; 90];
 
-        let mut flat = GrowablePps::new();
-        for &s in head_sizes.iter().chain(&batch_a).chain(&batch_b) {
-            flat.push(s).unwrap();
-        }
+        let all: Vec<u32> = [&head_sizes[..], &batch_a, &batch_b].concat();
+        let flat = GrowablePps::from_sizes(&all).unwrap();
 
         let to_prefix = |sizes: &[u32]| -> Arc<[u64]> {
             let mut p = vec![0u64];
@@ -798,10 +680,6 @@ mod tests {
         for i in 0..flat.len() {
             assert_eq!(flat.weight(i), seg.weight(i), "item {i}");
         }
-        // Item-wise growth is sealed once a segment is adopted.
-        assert!(seg.push(1).is_err());
-        assert!(seg.extend_from_sizes(&[1]).is_err());
-        assert!(seg.extend_from_prefix(&[0, 1]).is_err());
         // A purely shared sampler (empty head) also locates correctly.
         let only = GrowablePps::shared(to_prefix(&batch_a)).unwrap();
         assert_eq!(only.len(), batch_a.len());
@@ -821,8 +699,7 @@ mod tests {
         // Same seed, same draws: adopting segments must not disturb the
         // realized sample stream at all.
         let sizes: Vec<u32> = (0..200u32).map(|i| 1 + (i * 11) % 31).collect();
-        let mut flat = GrowablePps::from_sizes(&sizes).unwrap();
-        flat.extend_from_sizes(&[9; 40]).unwrap();
+        let flat = GrowablePps::from_sizes(&[&sizes[..], &[9; 40]].concat()).unwrap();
         let mut p = vec![0u64];
         let mut acc = 0u64;
         for _ in 0..40 {
@@ -840,35 +717,42 @@ mod tests {
 
     #[test]
     fn bulk_append_errors_leave_sampler_unchanged() {
-        let mut pps = GrowablePps::from_sizes(&[3, 4]).unwrap();
+        // A zero weight anywhere fails the one-pass head build, and a
+        // rejected adoption past a multi-stride head leaves the head's
+        // prefix and coarse arrays untouched.
+        for bad in [&[0u32, 3, 4][..], &[3, 0, 4], &[3, 4, 0]] {
+            assert!(GrowablePps::from_sizes(bad).is_err(), "{bad:?}");
+        }
+        let mut pps = GrowablePps::from_sizes(&(1..=200).collect::<Vec<u32>>()).unwrap();
         let before_prefix = pps.prefix.clone();
         let before_coarse = pps.coarse.clone();
-        assert!(pps.extend_from_sizes(&[2, 0, 9]).is_err());
+        assert!(pps.extend_shared(vec![9u64, 4].into()).is_err());
+        assert!(pps.extend_shared(vec![7u64, 7].into()).is_err());
+        assert!(pps.extend_shared(Vec::new().into()).is_err());
         assert_eq!(pps.prefix, before_prefix);
         assert_eq!(pps.coarse, before_coarse);
-        // Non-increasing (zero-weight) step in a prefix slice.
-        assert!(pps.extend_from_prefix(&[0, 5, 5]).is_err());
-        assert!(pps.extend_from_prefix(&[]).is_err());
-        assert_eq!(pps.prefix, before_prefix);
-        assert_eq!(pps.coarse, before_coarse);
-        assert_eq!(pps.len(), 2);
-        assert_eq!(pps.total(), 7);
+        assert_eq!(pps.len(), 200);
+        assert_eq!(pps.total(), 20_100);
     }
 
     #[test]
     fn prefix_base_offset_is_respected() {
-        // A delta prefix starting at a non-zero base appends the same
+        // A shared prefix starting at a non-zero base adopts the same
         // diffs as one starting at zero.
         let mut a = GrowablePps::from_sizes(&[10]).unwrap();
         let mut b = a.clone();
-        a.extend_from_prefix(&[0, 2, 7]).unwrap();
-        b.extend_from_prefix(&[100, 102, 107]).unwrap();
-        assert_eq!(a.prefix, b.prefix);
+        a.extend_shared(vec![0u64, 2, 7].into()).unwrap();
+        b.extend_shared(vec![100u64, 102, 107].into()).unwrap();
         assert_eq!(a.total(), 17);
+        assert_eq!(b.total(), 17);
         assert_eq!(a.len(), 3);
-        assert_eq!(a.weight(0), 10);
-        assert_eq!(a.weight(1), 2);
-        assert_eq!(a.weight(2), 5);
+        for (i, w) in [10, 2, 5].into_iter().enumerate() {
+            assert_eq!(a.weight(i), w);
+            assert_eq!(b.weight(i), w);
+        }
+        for t in 0..17 {
+            assert_eq!(a.locate(t), b.locate(t), "t {t}");
+        }
     }
 
     #[test]
@@ -992,8 +876,6 @@ mod tests {
         };
         let mut pps = GrowablePps::from_sizes(&[10; 20]).unwrap();
         pps.extend_shared(to_prefix(&[10; 20])).unwrap();
-        // Segments seal item-wise growth.
-        assert!(pps.push(1).is_err());
         let live_before: Vec<u64> = (0..pps.len()).map(|i| pps.weight(i)).collect();
         // Kill whole items until dead weight crosses a quarter of gross
         // (400): the 11th full kill (110 > 100) triggers compaction.
@@ -1008,9 +890,10 @@ mod tests {
             assert_eq!(pps.weight(i), expect, "item {i}");
         }
         assert_locates_like_flat(&pps);
-        // Compaction released the segments: item-wise growth works again,
-        // and new items land at fresh indices past the plateau prefix.
-        pps.push(7).unwrap();
+        // Compaction released the segments: growth resumes with a fresh
+        // segment, and new items land at fresh indices past the plateau
+        // prefix.
+        pps.extend_shared(to_prefix(&[7])).unwrap();
         assert_eq!(pps.len(), 41);
         assert_eq!(pps.weight(40), 7);
         assert_eq!(pps.total(), 297);
@@ -1160,23 +1043,5 @@ mod tests {
             GrowablePps::restore(&bad),
             Err(CodecError::TrailingBytes { .. })
         ));
-    }
-
-    #[test]
-    fn prefix_copy_failures_leave_sampler_unchanged_then_growth_matches() {
-        // The extend_from_prefix rollback counterpart: after a rejected
-        // batch, continuing growth yields a sampler indistinguishable from
-        // one that never saw the bad batch.
-        let mut pps = GrowablePps::from_sizes(&[2, 2, 2]).unwrap();
-        assert!(pps.extend_from_prefix(&[0, 3, 3, 8]).is_err());
-        assert!(pps.extend_from_prefix(&[5, 4]).is_err());
-        pps.extend_from_prefix(&[0, 1, 4]).unwrap();
-        pps.push(6).unwrap();
-        let mut clean = GrowablePps::from_sizes(&[2, 2, 2]).unwrap();
-        clean.extend_from_prefix(&[0, 1, 4]).unwrap();
-        clean.push(6).unwrap();
-        assert_eq!(pps.prefix, clean.prefix);
-        assert_eq!(pps.coarse, clean.coarse);
-        assert_eq!(pps.total(), clean.total());
     }
 }

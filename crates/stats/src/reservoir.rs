@@ -1,7 +1,5 @@
-//! Reservoir sampling over (possibly unbounded) streams.
+//! Weighted reservoir sampling over (possibly unbounded) streams.
 //!
-//! * [`Reservoir`] — Vitter's Algorithm R: a uniform fixed-size sample of a
-//!   stream.
 //! * [`WeightedReservoir`] — Efraimidis & Spirakis' Algorithm A-Res
 //!   (*Weighted random sampling with a reservoir*, IPL 2006, the paper's
 //!   reference [14]): each item receives the key `k = u^{1/w}` with
@@ -10,6 +8,9 @@
 //!   Incremental Sample Update on Evolving KG), where an insertion batch
 //!   `Δe` gets key `rand(0,1)^{1/|Δe|}` and replaces the reservoir's minimum
 //!   key if larger.
+//! * [`WeightedReservoirExpJ`] — the same sampler with exponential jumps
+//!   (A-ExpJ), plus [`WeightedReservoirExpJ::offer_batch`] over a
+//!   cumulative-weight slice: the one offer path of the §6 RS evaluator.
 //!
 //! The expected number of reservoir replacements over a stream growing from
 //! `N_i` to `N_j` items is `O(|R| · log(N_j/N_i))` (paper Proposition 3);
@@ -20,55 +21,6 @@ use crate::codec::{CodecError, Decoder, Encoder};
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Uniform fixed-size reservoir (Vitter's Algorithm R).
-#[derive(Debug, Clone)]
-pub struct Reservoir<T> {
-    capacity: usize,
-    seen: u64,
-    items: Vec<T>,
-}
-
-impl<T> Reservoir<T> {
-    /// New reservoir holding at most `capacity` items. Panics on zero
-    /// capacity.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        Reservoir {
-            capacity,
-            seen: 0,
-            items: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offer one stream item.
-    pub fn offer<R: Rng + ?Sized>(&mut self, rng: &mut R, item: T) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            let j = rng.gen_range(0..self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
-        }
-    }
-
-    /// Items currently in the reservoir.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Total items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Reservoir capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
 
 /// A reservoir slot: an item plus its A-Res key.
 #[derive(Debug, Clone)]
@@ -670,38 +622,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
-
-    #[test]
-    fn uniform_reservoir_is_uniform() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let trials = 20_000;
-        let mut counts = [0u32; 10];
-        for _ in 0..trials {
-            let mut r = Reservoir::new(3);
-            for i in 0..10 {
-                r.offer(&mut rng, i);
-            }
-            for &i in r.items() {
-                counts[i as usize] += 1;
-            }
-        }
-        for &c in &counts {
-            let freq = c as f64 / trials as f64;
-            assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
-        }
-    }
-
-    #[test]
-    fn uniform_reservoir_smaller_stream_keeps_all() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut r = Reservoir::new(10);
-        for i in 0..4 {
-            r.offer(&mut rng, i);
-        }
-        assert_eq!(r.items().len(), 4);
-        assert_eq!(r.seen(), 4);
-        assert_eq!(r.capacity(), 10);
-    }
 
     #[test]
     fn weighted_single_slot_inclusion_proportional_to_weight() {
