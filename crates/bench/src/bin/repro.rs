@@ -1,8 +1,11 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! Usage:
-//!   repro [--quick] [--trials-scale X] [--seed N] <experiment>...
-//!   repro all
+//!
+//! ```text
+//! repro [--quick] [--trials-scale X] [--seed N] <experiment>...
+//! repro all
+//! ```
 //!
 //! Experiments: fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!              table3 table4 table5 table6 table7 table8

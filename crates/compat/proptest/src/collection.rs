@@ -5,7 +5,7 @@ use crate::test_runner::TestRng;
 use rand::Rng;
 use std::ops::Range;
 
-/// Number-of-elements specification for [`vec`].
+/// Number-of-elements specification for [`vec()`].
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     lo: usize,
@@ -37,7 +37,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

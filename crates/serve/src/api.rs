@@ -365,6 +365,7 @@ mod tests {
                 })
                 .collect(),
             body: body.as_bytes().to_vec(),
+            keep_alive: true,
         }
     }
 

@@ -143,7 +143,7 @@ fn main() {
     println!("DRAINED {}", outcome.persisted);
     if outcome.stragglers > 0 {
         eprintln!(
-            "kg-serve: {} in-flight requests outlived the drain deadline",
+            "kg-serve: {} exchanges in progress outlived the drain deadline",
             outcome.stragglers
         );
     }

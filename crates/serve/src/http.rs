@@ -1,12 +1,19 @@
 //! Hand-rolled HTTP/1.1 subset over std TCP: request parsing with strict
-//! limits, and `Connection: close` responses. Enough for the kg-serve
-//! API; deliberately nothing more (no keep-alive, no chunked encoding,
-//! no TLS).
+//! limits, and persistent connections (RFC 9112 §9.3). Enough for the
+//! kg-serve API; deliberately nothing more (no chunked encoding, no TLS).
+//!
+//! A connection stays open across exchanges unless the request opts out:
+//! [`Request::keep_alive`] is false for `Connection: close`, and for
+//! HTTP/1.0 without `Connection: keep-alive`. [`read_request`] consumes
+//! exactly one request, so pipelined bytes stay in the caller's buffer
+//! for the next call. [`write_response`] says `connection: close` or
+//! `connection: keep-alive` accordingly.
 //!
 //! Hostile-client hardening lives here too: [`DeadlineStream`] enforces a
-//! *whole-request* read deadline (a slowloris dribbling one byte per
-//! second trips it just as surely as a silent peer), and the size caps
-//! surface as [`HttpError::TooLarge`] so the server can answer 413.
+//! *whole-exchange* read deadline (a slowloris dribbling one byte per
+//! second trips it just as surely as a silent peer), re-armed for each
+//! exchange of a kept-alive connection, and the size caps surface as
+//! [`HttpError::TooLarge`] so the server can answer 413.
 
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
@@ -28,6 +35,10 @@ pub struct Request {
     pub query: Vec<(String, String)>,
     /// Raw body bytes.
     pub body: Vec<u8>,
+    /// Whether the client lets the connection carry another exchange:
+    /// false after `Connection: close`, and for HTTP/1.0 unless it sent
+    /// `Connection: keep-alive`.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -67,8 +78,8 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Read one request. The connection serves exactly one exchange
-/// (`Connection: close`), so nothing after the body is consumed.
+/// Read one request. Nothing after its body is consumed, so the next
+/// pipelined request is still in `stream` for the next call.
 pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
     let mut head = 0usize;
     let mut line = String::new();
@@ -88,12 +99,14 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
         .next()
         .ok_or(HttpError::Bad("missing target"))?
         .to_string();
-    match parts.next() {
-        Some("HTTP/1.1") | Some("HTTP/1.0") => {}
+    let http10 = match parts.next() {
+        Some("HTTP/1.1") => false,
+        Some("HTTP/1.0") => true,
         _ => return Err(HttpError::Bad("unsupported HTTP version")),
-    }
+    };
 
     let mut content_length = 0usize;
+    let (mut close, mut keep) = (false, false);
     loop {
         let mut header = String::new();
         if stream.read_line(&mut header)? == 0 {
@@ -119,6 +132,12 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
             }
             if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(HttpError::Bad("chunked bodies unsupported"));
+            }
+            if name.eq_ignore_ascii_case("connection") {
+                for option in value.split(',').map(str::trim) {
+                    close |= option.eq_ignore_ascii_case("close");
+                    keep |= option.eq_ignore_ascii_case("keep-alive");
+                }
             }
         }
     }
@@ -148,6 +167,7 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
         segments,
         query,
         body,
+        keep_alive: !close && (keep || !http10),
     })
 }
 
@@ -165,32 +185,34 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one JSON response and close the exchange.
-pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    write_response_with(stream, status, &[], body)
-}
-
-/// Write one JSON response with extra headers (e.g. `Retry-After` on a
-/// load-shed 503) and close the exchange.
-pub fn write_response_with(
+/// Write one JSON response, head and body in a single `write_all` so a
+/// small response leaves as one segment (split writes on a kept-alive
+/// socket meet Nagle and delayed ACKs: ~40 ms stalls). `keep_alive`
+/// picks the `connection` header; extra headers carry e.g. `Retry-After`
+/// on a load-shed 503.
+pub fn write_response(
     stream: &mut impl Write,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &str,
+    keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
+    let mut out = format!(
+        "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
         status,
         reason(status),
         body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push_str("\r\n");
     }
-    write!(stream, "{head}\r\n{body}")?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -211,6 +233,12 @@ impl DeadlineStream {
             stream,
             deadline: Instant::now() + budget,
         }
+    }
+
+    /// Start a fresh deadline, `budget` from now: the next exchange on a
+    /// kept-alive connection, or the wait for it.
+    pub fn rearm(&mut self, budget: Duration) {
+        self.deadline = Instant::now() + budget;
     }
 }
 
@@ -321,15 +349,21 @@ mod tests {
     #[test]
     fn response_is_well_formed() {
         let mut out = Vec::new();
-        write_response(&mut out, 404, "{\"error\":\"x\"}").unwrap();
+        write_response(&mut out, 404, &[], "{\"error\":\"x\"}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("content-length: 13\r\n"));
-        assert!(text.contains("connection: close"));
+        assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"x\"}"));
 
         let mut out = Vec::new();
-        write_response_with(&mut out, 503, &[("retry-after", "1")], "{}").unwrap();
+        write_response(&mut out, 200, &[], "{}", true).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("connection: keep-alive\r\n"));
+        assert!(!text.contains("close"));
+
+        let mut out = Vec::new();
+        write_response(&mut out, 503, &[("retry-after", "1")], "{}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));

@@ -2,9 +2,23 @@
 //! incremental evaluators (`kg_eval::session`).
 //!
 //! Hand-rolled std-only HTTP/1.1 + JSON — the build environment is
-//! offline, so no web framework and no serde. One exchange per
-//! connection (`Connection: close`), one thread per connection, all
-//! tenants multiplexed over a shared [`SessionRegistry`].
+//! offline, so no web framework and no serde. One thread per connection,
+//! all tenants multiplexed over a shared [`SessionRegistry`].
+//!
+//! # Connection model
+//!
+//! Connections persist (HTTP/1.1 keep-alive, RFC 9112 §9.3): each one
+//! keeps one buffered reader for its whole life and reads request after
+//! request from it, so pipelined bytes carry over to the next exchange.
+//! Every exchange gets a fresh whole-exchange read deadline. The
+//! connection closes, with `connection: close` on the final response,
+//! when the request asks for it (`Connection: close`, or HTTP/1.0
+//! without `keep-alive`), when parsing fails (400/413) or the read
+//! deadline expires (408), or when the server is draining. A kept-alive
+//! connection whose next request has not begun within
+//! [`ServerConfig::read_timeout`] is closed silently: it is idle, not
+//! slow, so it gets no 408 and no `timeouts` count. A client that sends
+//! `connection: close` gets exactly one exchange per connection.
 //!
 //! # Fault tolerance
 //!
@@ -14,15 +28,16 @@
 //!   dribbling bytes, or one that never reads its response, is cut off at
 //!   the whole-exchange deadline ([`http::DeadlineStream`]), answered 408
 //!   where a response is still possible.
-//! * **Load shedding** — more than [`ServerConfig::max_in_flight`]
-//!   concurrent exchanges answer `503` with `Retry-After` instead of
-//!   queueing without bound.
+//! * **Load shedding** — more than [`ServerConfig::max_in_flight`] open
+//!   connections answer `503` with `Retry-After` instead of queueing
+//!   without bound.
 //! * **Graceful drain** — `POST /admin/drain` (or
 //!   [`DrainController::request_drain`], or stdin EOF in the binary)
-//!   stops the accept loop, waits out in-flight requests under
-//!   [`ServerConfig::drain_deadline`], checkpoints every live session to
-//!   the registry's spill store, and returns. A restarted process
-//!   recovers the full tenant set via
+//!   stops the accept loop, closes every connection that is between
+//!   exchanges, lets exchanges in progress finish (answering
+//!   `connection: close`) under [`ServerConfig::drain_deadline`],
+//!   checkpoints every live session to the registry's spill store, and
+//!   returns. A restarted process recovers the full tenant set via
 //!   [`SessionRegistry::recover_from_store`].
 //! * **Fault injection** — a [`FaultHook`] scripted per accepted
 //!   connection lets the chaos harness (`kg_bench::chaos`) drop, stall,
@@ -40,10 +55,11 @@ pub mod http;
 pub mod json;
 
 use kg_eval::session::SessionRegistry;
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,15 +67,18 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Whole-exchange deadline for reading one request. A peer that has
-    /// not delivered a complete request by then is answered 408.
+    /// not delivered a complete request by then is answered 408. It also
+    /// bounds how long a kept-alive connection may sit idle before its
+    /// next request begins; past it the connection is closed silently.
     pub read_timeout: Duration,
     /// Socket write timeout for the response. A peer that never reads
     /// cannot wedge the worker past this.
     pub write_timeout: Duration,
-    /// Maximum concurrent exchanges; beyond it new connections are shed
-    /// with `503` + `Retry-After`.
+    /// Maximum open connections, idle kept-alive ones included (each
+    /// holds one thread, so this also bounds the thread count); beyond
+    /// it new connections are shed with `503` + `Retry-After`.
     pub max_in_flight: usize,
-    /// How long a drain waits for in-flight exchanges before
+    /// How long a drain waits for exchanges in progress before
     /// checkpointing and returning anyway.
     pub drain_deadline: Duration,
 }
@@ -75,7 +94,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a [`FaultHook`] makes of one accepted connection. Every action is
+/// What a [`FaultHook`] makes of one accepted connection (of its first
+/// exchange, for a kept-alive one). Every action is
 /// decided **before** the request is dispatched to the registry, so an
 /// injected fault never half-applies a mutation — the client retries
 /// against unchanged state.
@@ -106,6 +126,9 @@ pub trait FaultHook: Send + Sync {
 pub struct ServeStats {
     /// Connections accepted.
     pub accepted: u64,
+    /// Requests read and dispatched; a kept-alive connection carries
+    /// many.
+    pub exchanges: u64,
     /// Connections shed with 503 (over `max_in_flight`).
     pub shed: u64,
     /// Exchanges cut off by the read deadline (answered 408).
@@ -120,9 +143,16 @@ pub struct DrainOutcome {
     /// Sessions checkpointed to the spill store (0 when the registry has
     /// no store attached).
     pub persisted: usize,
-    /// In-flight exchanges still running when the drain deadline expired
-    /// (0 on a clean drain).
+    /// Exchanges still in progress when the drain deadline expired (0 on
+    /// a clean drain; idle kept-alive connections never count).
     pub stragglers: usize,
+}
+
+/// A served connection as the drain sees it: a handle to shut its
+/// socket, and whether it is inside an exchange.
+struct Conn {
+    socket: TcpStream,
+    busy: bool,
 }
 
 struct Shared {
@@ -132,8 +162,14 @@ struct Shared {
     addr: SocketAddr,
     draining: AtomicBool,
     killed: AtomicBool,
-    in_flight: AtomicUsize,
+    /// Open connections, compared against `max_in_flight` at accept.
+    open: AtomicUsize,
+    /// Served connections by accept sequence. Once draining, idle ones
+    /// are shut and removed, and no new one is admitted, so the drain
+    /// waits for this to empty.
+    conns: Mutex<HashMap<u64, Conn>>,
     accepted: AtomicU64,
+    exchanges: AtomicU64,
     shed: AtomicU64,
     timeouts: AtomicU64,
     faults_injected: AtomicU64,
@@ -148,9 +184,16 @@ impl Shared {
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
     }
 
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, Conn>> {
+        self.conns
+            .lock()
+            .expect("no thread panics while holding the connection table")
+    }
+
     fn stats(&self) -> ServeStats {
         ServeStats {
             accepted: self.accepted.load(Ordering::Relaxed),
+            exchanges: self.exchanges.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
@@ -197,8 +240,10 @@ impl Server {
             addr,
             draining: AtomicBool::new(false),
             killed: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
+            open: AtomicUsize::new(0),
+            conns: Mutex::new(HashMap::new()),
             accepted: AtomicU64::new(0),
+            exchanges: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
@@ -224,9 +269,9 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Gracefully drain: stop accepting, wait out in-flight exchanges
-    /// under the drain deadline, checkpoint every live session to the
-    /// spill store, and return what happened.
+    /// Gracefully drain: stop accepting, close idle connections, wait
+    /// out exchanges in progress under the drain deadline, checkpoint
+    /// every live session to the spill store, and return what happened.
     pub fn drain(self) -> DrainOutcome {
         self.shared.request_drain();
         let shared = Arc::clone(&self.shared);
@@ -282,23 +327,32 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let seq = shared.accepted.fetch_add(1, Ordering::Relaxed);
-        let in_flight = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        let open = shared.open.fetch_add(1, Ordering::SeqCst) + 1;
         let conn_shared = Arc::clone(&shared);
         thread::spawn(move || {
-            handle_exchange(&conn_shared, stream, seq, in_flight);
-            conn_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            serve_connection(&conn_shared, stream, seq, open);
+            conn_shared.conns().remove(&seq);
+            conn_shared.open.fetch_sub(1, Ordering::SeqCst);
         });
     }
     drop(listener);
     if shared.killed.load(Ordering::SeqCst) {
         return;
     }
-    // Graceful path: wait out in-flight exchanges, then checkpoint.
+    // Graceful path: close the connections between exchanges (their
+    // threads read EOF and exit), wait out the exchanges in progress,
+    // then checkpoint.
+    shared.conns().retain(|_, conn| {
+        if !conn.busy {
+            let _ = conn.socket.shutdown(Shutdown::Both);
+        }
+        conn.busy
+    });
     let deadline = Instant::now() + shared.config.drain_deadline;
-    while shared.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    while !shared.conns().is_empty() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(2));
     }
-    let stragglers = shared.in_flight.load(Ordering::SeqCst);
+    let stragglers = shared.conns().len();
     let persisted = shared.registry.drain_to_store().unwrap_or(0);
     *shared.outcome.lock().unwrap() = Some(DrainOutcome {
         persisted,
@@ -308,11 +362,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 fn shed_response(mut stream: TcpStream, config: &ServerConfig, why: &str) -> std::io::Result<()> {
     stream.set_write_timeout(Some(config.write_timeout))?;
-    let body = json::Json::Obj(vec![(
-        "error".to_string(),
-        json::Json::Str(why.to_string()),
-    )]);
-    http::write_response_with(&mut stream, 503, &[("retry-after", "1")], &body.to_string())?;
+    let body = err_body(why).to_string();
+    http::write_response(&mut stream, 503, &[("retry-after", "1")], &body, false)?;
     finish_exchange(stream);
     Ok(())
 }
@@ -322,7 +373,7 @@ fn shed_response(mut stream: TcpStream, config: &ServerConfig, why: &str) -> std
 /// would be discarded by the peer's kernel if we closed outright. Send
 /// FIN, then drain whatever the peer still sends, under a hard bound.
 fn finish_exchange(mut stream: TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let deadline = Instant::now() + Duration::from_millis(500);
     let mut sink = [0u8; 4096];
@@ -334,9 +385,10 @@ fn finish_exchange(mut stream: TcpStream) {
     }
 }
 
-/// Serve one connection end to end: fault hook, shedding, deadlines,
-/// admin routes, API dispatch.
-fn handle_exchange(shared: &Shared, stream: TcpStream, seq: u64, in_flight: usize) {
+/// Serve one connection end to end: fault hook, shedding, then one
+/// exchange after another (deadlines, admin routes, API dispatch) until
+/// the client, an error, idleness or a drain closes it.
+fn serve_connection(shared: &Shared, stream: TcpStream, seq: u64, open: usize) {
     let action = match &shared.fault {
         Some(hook) => hook.plan(seq),
         None => FaultAction::None,
@@ -353,44 +405,97 @@ fn handle_exchange(shared: &Shared, stream: TcpStream, seq: u64, in_flight: usiz
         }
         FaultAction::AbortAfterRead | FaultAction::None => {}
     }
-    if in_flight > shared.config.max_in_flight {
+    if open > shared.config.max_in_flight {
         shared.shed.fetch_add(1, Ordering::Relaxed);
         let _ = shed_response(stream, &shared.config, "overloaded");
         return;
     }
-    let reader = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
+    let mut writer = stream;
+    let (Ok(reader), Ok(socket)) = (writer.try_clone(), writer.try_clone()) else {
+        return;
     };
+    if writer.set_nodelay(true).is_err()
+        || writer
+            .set_write_timeout(Some(shared.config.write_timeout))
+            .is_err()
+    {
+        return;
+    }
+    {
+        // Registration and the drain's sweep both hold the lock, so a
+        // connection either is swept or sees the drain here.
+        let mut conns = shared.conns();
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        conns.insert(
+            seq,
+            Conn {
+                socket,
+                busy: false,
+            },
+        );
+    }
     let mut reader = BufReader::new(http::DeadlineStream::new(
         reader,
         shared.config.read_timeout,
     ));
-    let mut writer = stream;
-    let parsed = http::read_request(&mut reader);
-    if action == FaultAction::AbortAfterRead {
-        shared.faults_injected.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let (status, body) = match parsed {
-        Ok(request) => dispatch(shared, &request),
-        Err(http::HttpError::Closed) => return,
-        Err(e) if e.is_timeout() => {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-            (408, err_body("request read deadline exceeded"))
+    for exchange in 0u64.. {
+        if exchange > 0 {
+            // Idle wait for the next request, then a fresh whole-exchange
+            // deadline from its first byte.
+            reader.get_mut().rearm(shared.config.read_timeout);
         }
-        Err(http::HttpError::Io(_)) => return,
-        Err(http::HttpError::Bad(what)) => (400, err_body(what)),
-        Err(http::HttpError::TooLarge(what)) => (413, err_body(what)),
-    };
-    if writer
-        .set_write_timeout(Some(shared.config.write_timeout))
-        .is_err()
-    {
-        return;
-    }
-    if http::write_response(&mut writer, status, &body.to_string()).is_ok() {
-        finish_exchange(writer);
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            // A silent first request is a timed-out exchange (408 below);
+            // a silent later one is an idle connection.
+            Err(e) if exchange == 0 && e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(_) => return,
+        }
+        if exchange > 0 {
+            reader.get_mut().rearm(shared.config.read_timeout);
+        }
+        match shared.conns().get_mut(&seq) {
+            Some(conn) => conn.busy = true,
+            None => return, // swept by a drain
+        }
+        let parsed = http::read_request(&mut reader);
+        if action == FaultAction::AbortAfterRead {
+            shared.faults_injected.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let (status, body, keep_alive) = match parsed {
+            Ok(request) => {
+                shared.exchanges.fetch_add(1, Ordering::Relaxed);
+                let (status, body) = dispatch(shared, &request);
+                (status, body, request.keep_alive)
+            }
+            Err(http::HttpError::Closed) => return,
+            Err(e) if e.is_timeout() => {
+                shared.timeouts.fetch_add(1, Ordering::Relaxed);
+                (408, err_body("request read deadline exceeded"), false)
+            }
+            Err(http::HttpError::Io(_)) => return,
+            Err(http::HttpError::Bad(what)) => (400, err_body(what), false),
+            Err(http::HttpError::TooLarge(what)) => (413, err_body(what), false),
+        };
+        let keep_alive = keep_alive && !shared.draining.load(Ordering::SeqCst);
+        if http::write_response(&mut writer, status, &[], &body.to_string(), keep_alive).is_err() {
+            return;
+        }
+        if !keep_alive {
+            finish_exchange(writer);
+            return;
+        }
+        let mut conns = shared.conns();
+        if shared.draining.load(Ordering::SeqCst) {
+            return; // the drain began after the response went out
+        }
+        if let Some(conn) = conns.get_mut(&seq) {
+            conn.busy = false;
+        }
     }
 }
 
@@ -426,6 +531,7 @@ fn dispatch(shared: &Shared, request: &http::Request) -> (u16, json::Json) {
                 200,
                 json::Json::Obj(vec![
                     ("accepted".to_string(), num(serve.accepted)),
+                    ("exchanges".to_string(), num(serve.exchanges)),
                     ("shed".to_string(), num(serve.shed)),
                     ("timeouts".to_string(), num(serve.timeouts)),
                     ("faults_injected".to_string(), num(serve.faults_injected)),
@@ -443,28 +549,6 @@ fn dispatch(shared: &Shared, request: &http::Request) -> (u16, json::Json) {
         }
         _ => api::handle(&shared.registry, request),
     }
-}
-
-/// Handle one connection without hardening: read a single request,
-/// dispatch, respond, close. Parse failures answer 400; a half-open peer
-/// is dropped silently. Kept for in-process callers that bring their own
-/// transport guarantees; the [`Server`] path adds deadlines, shedding,
-/// and fault injection.
-pub fn handle_connection(registry: &SessionRegistry, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let (status, body) = match http::read_request(&mut reader) {
-        Ok(request) => api::handle(registry, &request),
-        Err(http::HttpError::Closed) => return,
-        Err(http::HttpError::Io(_)) => return,
-        Err(http::HttpError::Bad(what)) => (400, err_body(what)),
-        Err(http::HttpError::TooLarge(what)) => (413, err_body(what)),
-    };
-    let _ = http::write_response(&mut writer, status, &body.to_string());
-    let _ = writer.flush();
 }
 
 /// Accept loop with default hardening: serve until drained (via

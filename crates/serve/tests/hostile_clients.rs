@@ -1,8 +1,12 @@
 //! Hostile-client regressions: slowloris dribbles, oversized payloads,
-//! peers that never read, and load shedding. Every scenario must
+//! peers that never read, load shedding, and the same abuse on the
+//! second exchange of a kept-alive connection. Every scenario must
 //! terminate within the configured deadlines with the right status, and
 //! the registry must stay consistent throughout.
 
+mod common;
+
+use common::{counter, KeptAlive};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -177,12 +181,7 @@ fn hostile_clients_are_bounded_and_do_not_wedge_the_server() {
     assert_eq!(status, 200, "{body}");
     let (status, stats) = server.request("GET", "/admin/stats", "");
     assert_eq!(status, 200);
-    let timeouts: u64 = {
-        let tag = "\"timeouts\":";
-        let start = stats.find(tag).expect("timeouts counter") + tag.len();
-        let end = stats[start..].find([',', '}']).unwrap() + start;
-        stats[start..end].trim().parse().expect("numeric timeouts")
-    };
+    let timeouts = counter(&stats, "timeouts");
     assert!(timeouts >= 3, "expected ≥3 deadline trips, got {stats}");
 }
 
@@ -205,4 +204,74 @@ fn load_shedding_answers_503_with_retry_after() {
         response.to_ascii_lowercase().contains("retry-after: 1"),
         "missing retry-after: {response}"
     );
+}
+
+#[test]
+fn a_bad_request_mid_connection_answers_close_and_closes() {
+    let server = Server::spawn(&[]);
+    let mut conn = KeptAlive::connect(&server.addr);
+    assert_eq!(conn.exchange("GET", "/healthz", "").status, 200);
+    conn.send_raw(b"\x00\x01 garbage\r\n\r\n");
+    let response = conn.read_response();
+    assert_eq!(
+        (response.status, response.connection.as_str()),
+        (400, "close")
+    );
+    assert!(conn.read_to_eof().is_empty(), "bytes after the 400");
+}
+
+#[test]
+fn an_idle_kept_alive_connection_is_closed_silently() {
+    let server = Server::spawn(&[]);
+    let (_, before) = server.request("GET", "/admin/stats", "");
+    let mut conn = KeptAlive::connect(&server.addr);
+    assert_eq!(
+        conn.exchange("GET", "/healthz", "").connection,
+        "keep-alive"
+    );
+    let start = Instant::now();
+    let rest = conn.read_to_eof();
+    let idle = start.elapsed();
+    assert!(
+        rest.is_empty(),
+        "idle close sent {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    assert!(
+        idle >= Duration::from_millis(READ_TIMEOUT_MS / 2) && idle < deadline(),
+        "closed after {idle:?}, read timeout {READ_TIMEOUT_MS} ms"
+    );
+    let (_, after) = server.request("GET", "/admin/stats", "");
+    assert_eq!(
+        counter(&after, "timeouts"),
+        counter(&before, "timeouts"),
+        "idleness is not a timeout: {after}"
+    );
+}
+
+#[test]
+fn a_slowloris_second_request_is_answered_408() {
+    let server = Server::spawn(&[]);
+    let mut conn = KeptAlive::connect(&server.addr);
+    assert_eq!(conn.exchange("GET", "/healthz", "").status, 200);
+    let mut writer = conn.writer.try_clone().unwrap();
+    let start = Instant::now();
+    let dribbler = std::thread::spawn(move || {
+        for b in b"GET /healthz HTTP/1.1\r\nx-slow: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
+            .iter()
+            .cycle()
+        {
+            if writer.write_all(std::slice::from_ref(b)).is_err() {
+                return; // the server gave up on us
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    let response = conn.read_response();
+    assert_eq!(
+        (response.status, response.connection.as_str()),
+        (408, "close")
+    );
+    assert!(start.elapsed() < deadline(), "{:?}", start.elapsed());
+    dribbler.join().unwrap();
 }

@@ -1,11 +1,17 @@
 //! Cross-process smoke test: the signature invariant of the serving
 //! layer. A monitor driven over HTTP, checkpointed mid-stream, and
 //! restored in a **fresh server process** produces byte-identical
-//! estimates to the uninterrupted run.
+//! estimates to the uninterrupted run. Also the connection model:
+//! keep-alive, pipelining, and `connection: close` clients.
 
+mod common;
+
+use common::{counter, KeptAlive};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct Server {
     child: Child,
@@ -293,4 +299,113 @@ fn graceful_drain_and_restart_recover_every_session() {
     second.close_stdin();
     assert_eq!(second.wait_drained(), 3);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_kept_alive_socket_carries_a_hundred_exchanges() {
+    let server = Server::spawn();
+    let before = server.ok("GET", "/admin/stats", "");
+    let mut conn = KeptAlive::connect(&server.addr);
+    for _ in 0..99 {
+        let response = conn.exchange("GET", "/healthz", "");
+        assert_eq!(response.status, 200, "{response:?}");
+        assert_eq!(response.connection, "keep-alive");
+    }
+    let after = conn.exchange("GET", "/admin/stats", "");
+    assert_eq!(after.status, 200);
+    assert_eq!(
+        counter(&after.body, "accepted"),
+        counter(&before, "accepted") + 1,
+        "one connection: {after:?}"
+    );
+    assert_eq!(
+        counter(&after.body, "exchanges"),
+        counter(&before, "exchanges") + 100,
+        "a hundred exchanges: {after:?}"
+    );
+    server.kill();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = Server::spawn();
+    let mut conn = KeptAlive::connect(&server.addr);
+    let both =
+        common::request("GET", "/healthz", "") + &common::request("GET", "/kg/77/estimate", "");
+    conn.send_raw(both.as_bytes());
+    let first = conn.read_response();
+    let second = conn.read_response();
+    assert_eq!(
+        (first.status, second.status),
+        (200, 404),
+        "{first:?} {second:?}"
+    );
+    assert!(first.body.contains("true"), "{first:?}");
+    // The connection is still open for a third.
+    assert_eq!(conn.exchange("GET", "/healthz", "").status, 200);
+    server.kill();
+}
+
+#[test]
+fn close_clients_get_exactly_one_exchange_per_connection() {
+    let server = Server::spawn();
+    let before = server.ok("GET", "/admin/stats", "");
+    // A `connection: close` request with a second one pipelined behind
+    // it: only the first is answered, then the server closes.
+    let mut conn = KeptAlive::connect(&server.addr);
+    let close = "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+    conn.send_raw(format!("{close}{}", common::request("GET", "/healthz", "")).as_bytes());
+    let response = conn.read_response();
+    assert_eq!(
+        (response.status, response.connection.as_str()),
+        (200, "close")
+    );
+    assert!(
+        conn.read_to_eof().is_empty(),
+        "answered past connection: close"
+    );
+    // HTTP/1.0 closes by default.
+    let mut conn = KeptAlive::connect(&server.addr);
+    conn.send_raw(b"GET /healthz HTTP/1.0\r\n\r\n");
+    assert_eq!(conn.read_response().connection, "close");
+    assert!(conn.read_to_eof().is_empty());
+    for _ in 0..3 {
+        server.ok("GET", "/healthz", "");
+    }
+    let after = server.ok("GET", "/admin/stats", "");
+    // Two raw connections, three close requests, and this stats read.
+    for key in ["accepted", "exchanges"] {
+        assert_eq!(
+            counter(&after, key),
+            counter(&before, key) + 6,
+            "{key}: {after}"
+        );
+    }
+    server.kill();
+}
+
+#[test]
+fn drain_closes_idle_kept_alive_connections_without_waiting() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let config = kg_serve::ServerConfig {
+        read_timeout: Duration::from_secs(5),
+        ..kg_serve::ServerConfig::default()
+    };
+    let registry = Arc::new(kg_eval::session::SessionRegistry::new());
+    let server = kg_serve::Server::start(listener, registry, config, None).expect("start");
+    let addr = server.addr().to_string();
+    let mut idle = KeptAlive::connect(&addr);
+    assert_eq!(
+        idle.exchange("GET", "/healthz", "").connection,
+        "keep-alive"
+    );
+    let start = Instant::now();
+    let outcome = server.drain();
+    let elapsed = start.elapsed();
+    assert_eq!(outcome.stragglers, 0, "an idle connection is no straggler");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "drain waited on an idle connection: {elapsed:?}"
+    );
+    assert!(idle.read_to_eof().is_empty(), "idle connection got bytes");
 }

@@ -403,7 +403,7 @@ impl GrowablePps {
     /// Serialize into a standalone `KGPP` v1 record (see [`crate::codec`]):
     /// the head prefix, every `Arc`-shared segment's contents, and the full
     /// pending-decrement overlay. Restoring materializes fresh `Arc`s over
-    /// the same integers — [`Self::locate`] depends only on contents, so
+    /// the same integers — locating a draw depends only on contents, so
     /// the restored sampler is draw-for-draw identical.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut e = Encoder::with_header(Self::MAGIC, Self::VERSION);

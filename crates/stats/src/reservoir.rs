@@ -2,7 +2,7 @@
 //!
 //! * [`WeightedReservoir`] — Efraimidis & Spirakis' Algorithm A-Res
 //!   (*Weighted random sampling with a reservoir*, IPL 2006, the paper's
-//!   reference [14]): each item receives the key `k = u^{1/w}` with
+//!   reference \[14\]): each item receives the key `k = u^{1/w}` with
 //!   `u ~ U(0,1)`; the reservoir keeps the `n` largest keys. This is exactly
 //!   the primitive used by the paper's Algorithm 1 (Reservoir-based
 //!   Incremental Sample Update on Evolving KG), where an insertion batch
@@ -85,14 +85,12 @@ impl<T> WeightedReservoir<T> {
         }
     }
 
-    /// Offer an item with positive weight. Returns the evicted item if the
-    /// offer displaced an existing reservoir member, `Some(_)` also meaning
-    /// "the new item was accepted by replacement"; `None` means either the
-    /// reservoir still had room (item accepted) or the item was rejected.
-    ///
-    /// Use [`WeightedReservoir::contains_check`]-style logic via the return
-    /// of [`Self::last_accepted`] when callers need accept/reject detail;
-    /// most callers only need the eviction to retire its annotations.
+    /// Offer an item with positive weight. The [`OfferOutcome`] says
+    /// whether the reservoir had room ([`OfferOutcome::Inserted`]), the
+    /// item displaced the minimum-key member, which it returns so the
+    /// caller can retire its annotations ([`OfferOutcome::Replaced`]), or
+    /// the item was rejected ([`OfferOutcome::Rejected`]);
+    /// [`OfferOutcome::accepted`] folds the first two.
     pub fn offer<R: Rng + ?Sized>(&mut self, rng: &mut R, item: T, weight: f64) -> OfferOutcome<T> {
         assert!(
             weight > 0.0 && weight.is_finite(),

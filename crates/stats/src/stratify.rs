@@ -1,7 +1,7 @@
 //! Stratification machinery (§5.3 of the paper).
 //!
 //! * [`cum_sqrt_f_boundaries`] — the Dalenius–Hodges *cumulative square root
-//!   of frequency* rule (paper reference [12]) used by the "Size
+//!   of frequency* rule (paper reference \[12\]) used by the "Size
 //!   Stratification" strategy: build a histogram of the stratification
 //!   signal (cluster size), accumulate `√f` over bins, and cut the
 //!   cumulative curve into `H` equal spans.
