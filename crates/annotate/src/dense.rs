@@ -12,7 +12,10 @@
 //! * **memoization** is a bit test — no hashing, no probing, and at one
 //!   bit per triple the whole memo for a 10^6-triple KG is ~125 KB, small
 //!   enough to stay cache-resident where a 4-byte-per-entry table thrashes;
-//! * **labels** come from the store's packed bitset — no virtual dispatch;
+//! * **labels** come from the store's packed bitset — no virtual dispatch.
+//!   Clusters an evolving population appended *pending* (see
+//!   [`crate::label_store`]) are filled from the growth oracle the first
+//!   time the arena touches them;
 //! * **reset** between trials zeroes only the spans the trial actually
 //!   touched (each mutating call logs one span in the bitmap's journal),
 //!   so the arena is reused across trials at a cost proportional to the
@@ -108,20 +111,33 @@ impl std::error::Error for DenseGrowthError {}
 ///
 /// The arena covers the store's current population and **grows with it**:
 /// evolving-KG update batches append delta-minted cluster ids through
-/// [`DenseAnnotator::extend_with_batch`] (explicit oracle) or the
-/// [`Annotator::extend_population`] hook (growth oracle configured via
-/// [`DenseAnnotator::growable`]), which the §6 incremental evaluators
-/// invoke before annotating a batch — so the dense engine drives the
-/// dynamic evaluators exactly like the hash engine does. Ids beyond the
-/// store that were never announced through either path are still a logic
-/// error (no labels exist for them); [`DenseAnnotator::try_extend_population`]
-/// is the checked variant that reports misuse as a typed
-/// [`DenseGrowthError`] instead of panicking.
+/// [`DenseAnnotator::extend_with_batch`] (explicit oracle, labels filled at
+/// once) or the [`Annotator::extend_population`] hook (growth oracle
+/// configured via [`DenseAnnotator::growable`]), which the §6 incremental
+/// evaluators invoke before annotating a batch — so the dense engine
+/// drives the dynamic evaluators exactly like the hash engine does. Ids
+/// beyond the store that were never announced through either path are
+/// still a logic error (no labels exist for them);
+/// [`DenseAnnotator::try_extend_population`] is the checked variant that
+/// reports misuse as a typed [`DenseGrowthError`] instead of panicking.
+///
+/// # Labels on first touch
+///
+/// The hook appends the batch's clusters *pending*: only the store's
+/// directory grows, in O(|Δe|). Every annotation call and
+/// [`Annotator::retract`] fills a pending cluster from the growth oracle
+/// before reading it, so a session that revives its store from a batch
+/// log pays the oracle only for the clusters it annotates. Filling
+/// writes into the store, so it needs the arena to own the store alone
+/// and to carry a growth oracle. Touching a pending cluster of a shared
+/// store, or without an oracle, is a caller logic error and panics; the
+/// arena never copies a shared store to fill it.
 pub struct DenseAnnotator {
     store: Arc<LabelStore>,
     cost: CostModel,
-    /// Labels delta-minted clusters when the population grows
-    /// ([`Annotator::extend_population`]); `None` for fixed populations.
+    /// Labels delta-minted clusters on first touch after the population
+    /// grows ([`Annotator::extend_population`]); `None` for fixed
+    /// populations.
     growth_oracle: Option<Arc<dyn LabelOracle + Send + Sync>>,
     /// Per-cluster identification bits.
     identified: BitsetJournal,
@@ -133,7 +149,7 @@ pub struct DenseAnnotator {
     n_labeled: usize,
     /// **Trial-state** tombstones ([`Annotator::retract`]): per-cluster
     /// sorted dead raw offsets. Deliberately *not* part of the shared
-    /// [`LabelStore`]: the store stays the immutable raw-label arena
+    /// [`LabelStore`]: the store stays the raw-label arena
     /// (replayed trials would otherwise observe final tombstone state
     /// mid-stream and diverge from the hash reference), and a trial
     /// [`DenseAnnotator::reset`] drops them in O(retractions this trial).
@@ -165,9 +181,10 @@ impl DenseAnnotator {
     }
 
     /// New arena for an **evolving** population: like [`DenseAnnotator::new`]
-    /// but with a growth oracle that labels delta-minted clusters whenever
-    /// an incremental evaluator announces an update batch via
-    /// [`Annotator::extend_population`].
+    /// but with a growth oracle that labels delta-minted clusters, on first
+    /// touch, after an incremental evaluator announces an update batch via
+    /// [`Annotator::extend_population`]. The oracle must be the one the
+    /// store's filled clusters were labelled with.
     pub fn growable(
         store: Arc<LabelStore>,
         cost: CostModel,
@@ -178,9 +195,10 @@ impl DenseAnnotator {
         this
     }
 
-    /// Append an update batch's clusters to the arena: the label store is
-    /// extended (`LabelStore::extend_with_batch`, amortized O(|Δ|)) and the
-    /// three bitmaps grow to cover the new ids, preserving every journal
+    /// Append an update batch's clusters to the arena with their labels
+    /// filled at once: the label store is extended
+    /// (`LabelStore::extend_with_batch`, amortized O(|Δ|)) and the three
+    /// bitmaps grow to cover the new ids, preserving every journal
     /// entry and memo bit — annotations from earlier batches stay reusable,
     /// which is the whole point of incremental evaluation.
     ///
@@ -193,10 +211,14 @@ impl DenseAnnotator {
     }
 
     /// Checked core of [`Annotator::extend_population`]: grow for a batch
-    /// minting ids at `first_cluster`, no-op for a batch the store already
-    /// covers (deterministic replay over a pre-evolved store), and a typed
-    /// error for id gaps, replay shape mismatches, or growth without an
-    /// oracle.
+    /// minting ids at `first_cluster` — its clusters are appended pending
+    /// (`LabelStore::append_pending`, O(|Δe|)) and filled on first touch —
+    /// no-op for a batch the store already covers (deterministic replay
+    /// over a pre-evolved store), and a typed error for id gaps, replay
+    /// shape mismatches, or growth without an oracle.
+    ///
+    /// Like [`DenseAnnotator::extend_with_batch`], growth makes the store
+    /// `Arc` unique first (copy-on-write).
     ///
     /// Replay verification is O(1) in release: the covered range's triple
     /// total plus its first and last cluster sizes must match the batch.
@@ -268,11 +290,11 @@ impl DenseAnnotator {
             }
             return Ok(());
         }
-        let oracle = self
-            .growth_oracle
-            .clone()
-            .ok_or(DenseGrowthError::NoGrowthOracle)?;
-        self.extend_with_batch(delta, oracle.as_ref());
+        if self.growth_oracle.is_none() {
+            return Err(DenseGrowthError::NoGrowthOracle);
+        }
+        Arc::make_mut(&mut self.store).append_pending(delta);
+        self.grow_bitmaps();
         Ok(())
     }
 
@@ -315,12 +337,35 @@ impl DenseAnnotator {
         self.cost
     }
 
-    /// Charge entity identification if this cluster is new this trial.
+    /// Touch a cluster before reading its labels: fill it if pending, and
+    /// charge entity identification if it is new this trial.
     #[inline]
-    fn identify(&mut self, cluster: u32) {
+    fn touch(&mut self, cluster: u32) {
+        self.fill_if_pending(cluster);
         if self.identified.set(cluster as u64) {
             self.n_identified += 1;
         }
+    }
+
+    /// Fill a pending cluster's labels from the growth oracle. Stores with
+    /// no pending cluster pay one predictable branch.
+    #[inline]
+    fn fill_if_pending(&mut self, cluster: u32) {
+        if self.store.is_pending(cluster as usize) {
+            self.fill(cluster);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, cluster: u32) {
+        let oracle = self
+            .growth_oracle
+            .as_deref()
+            .expect("pending cluster touched by a dense annotator without a growth oracle");
+        Arc::get_mut(&mut self.store)
+            .expect("pending cluster touched through a shared label store")
+            .fill_cluster(cluster as usize, oracle);
     }
 
     /// Mark one global triple validated if new; returns its label.
@@ -338,7 +383,7 @@ impl Annotator for DenseAnnotator {
         out.clear();
         out.reserve(refs.len());
         for &r in refs {
-            self.identify(r.cluster);
+            self.touch(r.cluster);
             let g = self.store.global_index(r);
             out.push(self.validate(g));
         }
@@ -350,13 +395,13 @@ impl Annotator for DenseAnnotator {
         out.reserve(refs.len());
         for (&r, &g) in refs.iter().zip(globals) {
             debug_assert_eq!(g, self.store.global_index(r));
-            self.identify(r.cluster);
+            self.touch(r.cluster);
             out.push(self.validate(g));
         }
     }
 
     fn annotate_one(&mut self, r: TripleRef) -> bool {
-        self.identify(r.cluster);
+        self.touch(r.cluster);
         let g = self.store.global_index(r);
         self.validate(g)
     }
@@ -371,7 +416,7 @@ impl Annotator for DenseAnnotator {
         if self.tombs.is_empty() {
             debug_assert_eq!(size, self.store.cluster_size(cluster as usize));
             debug_assert_eq!(base, self.store.cluster_base(cluster as usize));
-            self.identify(cluster);
+            self.touch(cluster);
             if self.cluster_full.set(cluster as u64) {
                 self.n_labeled += self.labeled.set_range(base, base + size as u64) as usize;
             }
@@ -395,7 +440,7 @@ impl Annotator for DenseAnnotator {
         };
         if dead_n == 0 {
             debug_assert_eq!(size, self.store.cluster_size(c));
-            self.identify(cluster);
+            self.touch(cluster);
             if self.cluster_full.set(cluster as u64) {
                 // First full visit this trial: stamp the cluster's bit
                 // range a word at a time; mixed access (a TWCS subset
@@ -411,7 +456,7 @@ impl Annotator for DenseAnnotator {
         // dead correct count — the same distinct-triple set and count the
         // hash reference produces.
         debug_assert_eq!(size + dead_n, self.store.cluster_size(c));
-        self.identify(cluster);
+        self.touch(cluster);
         if self.cluster_full.set(cluster as u64) {
             let base = self.store.cluster_base(c);
             let raw_size = self.store.cluster_size(c) as u32;
@@ -439,7 +484,7 @@ impl Annotator for DenseAnnotator {
     fn annotate_offsets(&mut self, cluster: u32, offsets: &[usize]) -> u32 {
         // LIVE offsets: translated through the trial tombstones (identity
         // for untombstoned clusters, the overwhelmingly common case).
-        self.identify(cluster);
+        self.touch(cluster);
         let base = self.store.cluster_base(cluster as usize);
         let Self {
             store,
@@ -487,6 +532,7 @@ impl Annotator for DenseAnnotator {
         // cluster fast path can answer live τ without rescanning; then
         // record the tombstones. Memo bits are untouched: sunk cost.
         for (cluster, offsets) in retraction.entries() {
+            self.fill_if_pending(*cluster);
             let base = self.store.cluster_base(*cluster as usize);
             let mut dead_correct = 0u32;
             for &o in offsets.iter() {

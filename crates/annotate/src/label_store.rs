@@ -5,8 +5,23 @@
 //! triples; materializing the labels **once per KG** into a packed bitset
 //! turns the per-triple `&dyn LabelOracle` virtual call plus procedural
 //! hashing (REM/BMM) or nested-`Vec` indirection (gold labels) into a single
-//! indexed bit test. The store is immutable and `Sync`, so one `Arc` is
-//! shared across all trials (and threads) of an experiment.
+//! indexed bit test. A fully filled store is read-only and `Sync`, so one
+//! `Arc` is shared across all trials (and threads) of an experiment.
+//!
+//! # Lazy growth
+//!
+//! An evolving population grows the store in two parts. The **directory**
+//! (prefix sums, per-cluster base and size, the bitset length) is appended
+//! eagerly by [`LabelStore::append_pending`]; each new cluster's label bits
+//! and `τ_i` are *pending* until [`LabelStore::fill_cluster`] consults the
+//! oracle for it. Labels are a pure function of `(oracle, cluster, offset)`,
+//! so a cluster filled late holds exactly the bits an eager fill would
+//! have written. [`DenseAnnotator`](crate::dense::DenseAnnotator) fills a
+//! cluster the first time it touches it, so a revived session pays for
+//! the clusters its requests annotate, not for its whole batch history.
+//! [`LabelStore::extend_with_batch`] appends and fills at once. Stores
+//! built by [`LabelStore::materialize`] have no pending clusters, and the
+//! readers pay one predictable branch on the store's pending count.
 //!
 //! Global addressing reuses the same prefix-sum layout as
 //! `kg_sampling::PopulationIndex` — triple `(c, o)` lives at
@@ -22,6 +37,11 @@ use kg_model::triple::TripleRef;
 use kg_model::update::UpdateBatch;
 use std::sync::Arc;
 
+/// `τ_i` sentinel of a pending cluster: its label bits are not filled yet.
+/// No real cluster reaches it, since [`LabelStore::append_pending`] caps
+/// cluster sizes below it.
+const PENDING: u32 = u32::MAX;
+
 /// Per-cluster directory record: everything the full-cluster annotation
 /// fast path needs — base global index, correct count `τ_i`, and size —
 /// in one 16-byte load. The hot WCS loop visits clusters in random order,
@@ -32,14 +52,15 @@ use std::sync::Arc;
 struct ClusterDir {
     /// Global index of the cluster's first triple (`prefix[c]`).
     base: u64,
-    /// Correct-triple count `τ_i`.
+    /// Correct-triple count `τ_i` ([`PENDING`] until filled).
     tau: u32,
     /// Cluster size `M_i`.
     size: u32,
 }
 
 /// Packed per-triple labels for a clustered population, with per-cluster
-/// correct counts (`τ_i`) precomputed at build time.
+/// correct counts (`τ_i`) computed when a cluster is filled (see the
+/// module docs on lazy growth).
 #[derive(Debug, Clone)]
 pub struct LabelStore {
     /// Packed labels, bit `g` = label of the triple with global index `g`.
@@ -56,8 +77,10 @@ pub struct LabelStore {
     /// load left on a sited PPS visit's dependent chain after the alias
     /// slot, so its cache density directly bounds visit throughput.
     taus: Vec<u32>,
-    /// Total correct triples `τ`.
+    /// Total correct triples `τ` over the filled clusters.
     correct: u64,
+    /// Clusters whose labels are not filled yet (τ is [`PENDING`]).
+    pending: usize,
     /// Tombstone bitmap, same global addressing as `bits` (empty until the
     /// first [`LabelStore::retract`] — insert-only stores pay nothing).
     dead: Vec<u64>,
@@ -76,6 +99,7 @@ impl Default for LabelStore {
             dir: Vec::new(),
             taus: Vec::new(),
             correct: 0,
+            pending: 0,
             dead: Vec::new(),
             dead_total: 0,
             dead_correct: 0,
@@ -140,56 +164,126 @@ impl LabelStore {
             dir,
             taus,
             correct,
+            pending: 0,
             dead: Vec::new(),
             dead_total: 0,
             dead_correct: 0,
         }
     }
 
-    /// Append an update batch's `Δe` clusters: grow the packed bitset, the
-    /// prefix sums, and the per-cluster `τ_i` in amortized O(|Δ|), minting
-    /// cluster ids `N, N+1, …` for the batch groups in order — the same id
-    /// assignment as [`UpdateBatch::apply_to`] and the §6 incremental
-    /// evaluators. The oracle is consulted exactly once per inserted
-    /// triple, with the *global* new cluster id, so a store extended batch
-    /// by batch is bit-identical to one materialized over the fully evolved
-    /// KG from scratch.
+    /// Append an update batch's `Δe` clusters and fill them: the packed
+    /// bitset, the prefix sums, and the per-cluster `τ_i` grow in
+    /// amortized O(|Δ|), minting cluster ids `N, N+1, …` for the batch
+    /// groups in order — the same id assignment as [`UpdateBatch::apply_to`]
+    /// and the §6 incremental evaluators. The oracle is consulted exactly
+    /// once per inserted triple, with the *global* new cluster id, so a
+    /// store extended batch by batch is bit-identical to one materialized
+    /// over the fully evolved KG from scratch.
+    ///
+    /// This is [`LabelStore::append_pending`] followed by
+    /// [`LabelStore::fill_cluster`] on every appended cluster.
+    pub fn extend_with_batch<O: LabelOracle + ?Sized>(&mut self, delta: &UpdateBatch, oracle: &O) {
+        let first = self.num_clusters();
+        self.append_pending(delta);
+        for cluster in first..self.num_clusters() {
+            self.fill_cluster(cluster, oracle);
+        }
+    }
+
+    /// Append an update batch's `Δe` clusters as **pending**: the prefix
+    /// sums, the directory records and the bitset length grow in amortized
+    /// O(|Δ| / 64 + |Δe|), and no oracle is consulted. Ids are minted as in
+    /// [`LabelStore::extend_with_batch`]. A pending cluster's sizes and
+    /// addresses are final; its labels and `τ_i` are not readable until
+    /// [`LabelStore::fill_cluster`] fills it.
     ///
     /// The prefix-sum snapshot is extended via
     /// [`UpdateBatch::extend_prefix`]: held uniquely it grows in place;
     /// shared with a base-snapshot sampling index it is copied once
     /// (copy-on-write) and the sharer keeps addressing the base, whose
     /// cluster ids never change.
-    pub fn extend_with_batch<O: LabelOracle + ?Sized>(&mut self, delta: &UpdateBatch, oracle: &O) {
-        if delta.num_delta_clusters() == 0 {
+    pub fn append_pending(&mut self, delta: &UpdateBatch) {
+        let sizes = delta.delta_sizes();
+        if sizes.is_empty() {
             return;
         }
-        let first = self.num_clusters() as u32;
         let base_total = self.total_triples();
-        let new_total = base_total + delta.total_triples();
-        self.bits.resize(new_total.div_ceil(64) as usize, 0);
+        let words = (base_total + delta.total_triples()).div_ceil(64) as usize;
+        self.bits.resize(words, 0);
         if !self.dead.is_empty() {
-            self.dead.resize(new_total.div_ceil(64) as usize, 0);
+            self.dead.resize(words, 0);
         }
         delta.extend_prefix(&mut self.prefix);
-        self.dir.reserve(delta.num_delta_clusters());
-        self.taus.reserve(delta.num_delta_clusters());
+        self.dir.reserve(sizes.len());
+        self.taus.reserve(sizes.len());
         let mut base = base_total;
-        for (j, &size) in delta.delta_sizes().iter().enumerate() {
-            let cluster = first + j as u32;
-            for o in 0..size {
-                if oracle.label(TripleRef::new(cluster, o)) {
-                    let g = base + o as u64;
-                    self.bits[(g >> 6) as usize] |= 1u64 << (g & 63);
-                }
-            }
-            let tau = popcount_range(&self.bits, base, base + size as u64) as u32;
-            self.dir.push(ClusterDir { base, tau, size });
-            self.taus.push(tau);
+        for &size in sizes {
+            assert!(
+                size < PENDING,
+                "cluster size {size} exceeds the label store's range"
+            );
+            self.dir.push(ClusterDir {
+                base,
+                tau: PENDING,
+                size,
+            });
+            self.taus.push(PENDING);
             base += size as u64;
-            self.correct += tau as u64;
         }
-        debug_assert_eq!(self.total_triples(), new_total);
+        self.pending += sizes.len();
+        debug_assert_eq!(self.total_triples(), base);
+    }
+
+    /// Reserve room for `clusters` more clusters holding `triples` more
+    /// triples, so a run of [`LabelStore::append_pending`] calls — a
+    /// session's batch log at revival — reallocates once instead of once
+    /// per doubling. Each buffer gets the capacity the appends would have
+    /// doubled it to, so the one allocation holds no more memory than
+    /// the appends it replaces.
+    pub fn reserve(&mut self, clusters: usize, triples: u64) {
+        let words = (self.total_triples() + triples).div_ceil(64) as usize;
+        let grow = words - self.bits.len();
+        reserve_doubled(&mut self.bits, grow);
+        if !self.dead.is_empty() {
+            reserve_doubled(&mut self.dead, grow);
+        }
+        reserve_doubled(Arc::make_mut(&mut self.prefix), clusters);
+        reserve_doubled(&mut self.dir, clusters);
+        reserve_doubled(&mut self.taus, clusters);
+    }
+
+    /// Fill a pending cluster's label bits and `τ_i` from the oracle,
+    /// consulting it once per triple. A no-op for a filled cluster.
+    pub fn fill_cluster<O: LabelOracle + ?Sized>(&mut self, cluster: usize, oracle: &O) {
+        if self.taus[cluster] != PENDING {
+            return;
+        }
+        let ClusterDir { base, size, .. } = self.dir[cluster];
+        for o in 0..size {
+            if oracle.label(TripleRef::new(cluster as u32, o)) {
+                let g = base + o as u64;
+                self.bits[(g >> 6) as usize] |= 1u64 << (g & 63);
+            }
+        }
+        // τ_i from the packed bits via the batched popcount kernel — the
+        // oracle loop stays a pure bit-setter.
+        let tau = popcount_range(&self.bits, base, base + size as u64) as u32;
+        self.dir[cluster].tau = tau;
+        self.taus[cluster] = tau;
+        self.correct += tau as u64;
+        self.pending -= 1;
+    }
+
+    /// Whether a cluster's labels are still pending. One branch on the
+    /// store's pending count for stores that have none.
+    #[inline]
+    pub fn is_pending(&self, cluster: usize) -> bool {
+        self.pending != 0 && self.taus[cluster] == PENDING
+    }
+
+    /// Number of clusters whose labels are still pending.
+    pub fn pending_clusters(&self) -> usize {
+        self.pending
     }
 
     /// Number of clusters `N`.
@@ -220,25 +314,29 @@ impl LabelStore {
         self.dir[cluster].base
     }
 
-    /// Label of the triple at a global index.
+    /// Label of the triple at a global index. A triple of a pending
+    /// cluster reads `false` until the cluster is filled.
     #[inline]
     pub fn label_at(&self, global: u64) -> bool {
         debug_assert!(global < self.total_triples());
         self.bits[(global >> 6) as usize] >> (global & 63) & 1 != 0
     }
 
-    /// Precomputed correct count `τ_i` of one cluster (served from the
-    /// dense τ mirror — see the `taus` field note).
+    /// Correct count `τ_i` of one filled cluster (served from the dense τ
+    /// mirror — see the `taus` field note).
     #[inline]
     pub fn cluster_tau(&self, cluster: usize) -> u32 {
+        debug_assert!(!self.is_pending(cluster), "τ of pending cluster {cluster}");
         self.taus[cluster]
     }
 
     /// Exact **live** population accuracy `μ(G) = τ / M` over the
     /// surviving triples (free: counted at build and maintained by
     /// [`LabelStore::retract`]). Equal to the raw accuracy while nothing
-    /// has been retracted.
+    /// has been retracted. Exact only once no cluster is pending
+    /// (debug-asserted).
     pub fn true_accuracy(&self) -> f64 {
+        debug_assert_eq!(self.pending, 0, "true accuracy over pending clusters");
         let m = self.total_triples() - self.dead_total;
         if m == 0 {
             0.0
@@ -254,13 +352,17 @@ impl LabelStore {
     /// replayed independently). Only the live aggregates move:
     /// [`LabelStore::true_accuracy`] and
     /// [`LabelStore::live_total_triples`] now describe the surviving
-    /// population. Retracting the same triple twice is a caller bug
-    /// (debug-asserted).
+    /// population. Retracting the same triple twice, or from a pending
+    /// cluster, is a caller bug (debug-asserted).
     pub fn retract(&mut self, retraction: &Retraction) {
         if self.dead.is_empty() {
             self.dead = vec![0u64; self.bits.len()];
         }
         for (cluster, offsets) in retraction.entries() {
+            debug_assert!(
+                !self.is_pending(*cluster as usize),
+                "retraction from pending cluster"
+            );
             let base = self.cluster_base(*cluster as usize);
             let size = self.cluster_size(*cluster as usize);
             for &o in offsets.iter() {
@@ -295,8 +397,25 @@ impl LabelStore {
     }
 }
 
+/// Grow `v`'s capacity to hold `additional` more items, doubling from
+/// its current capacity as item-by-item growth would, in one allocation.
+fn reserve_doubled<T>(v: &mut Vec<T>, additional: usize) {
+    let len = v.len() + additional;
+    if len > v.capacity() {
+        let mut cap = v.capacity().max(4);
+        while cap < len {
+            cap *= 2;
+        }
+        v.reserve_exact(cap - v.len());
+    }
+}
+
 impl LabelOracle for LabelStore {
     fn label(&self, t: TripleRef) -> bool {
+        debug_assert!(
+            !self.is_pending(t.cluster as usize),
+            "label of pending {t:?}"
+        );
         self.label_at(self.global_index(t))
     }
 
@@ -305,6 +424,10 @@ impl LabelOracle for LabelStore {
             return 0.0;
         }
         debug_assert_eq!(size, self.cluster_size(cluster as usize));
+        debug_assert!(
+            !self.is_pending(cluster as usize),
+            "pending cluster {cluster}"
+        );
         self.dir[cluster as usize].tau as f64 / size as f64
     }
 }
@@ -388,6 +511,38 @@ mod tests {
         }
         for g in 0..grown.total_triples() {
             assert_eq!(grown.label_at(g), scratch.label_at(g), "global {g}");
+        }
+    }
+
+    #[test]
+    fn pending_clusters_fill_to_the_eager_labels() {
+        let oracle = RemOracle::new(0.6, 17);
+        let base = ImplicitKg::new(vec![3, 5]).unwrap();
+        let batch = UpdateBatch::from_sizes(vec![70, 2, 9]).unwrap(); // spans words
+        let mut eager = LabelStore::materialize(&base, &oracle);
+        eager.extend_with_batch(&batch, &oracle);
+        let mut lazy = LabelStore::materialize(&base, &oracle);
+        lazy.reserve(batch.num_delta_clusters(), batch.total_triples());
+        lazy.append_pending(&batch);
+        // The directory is final at once; only labels wait.
+        assert_eq!(lazy.pending_clusters(), 3);
+        assert_eq!(lazy.total_triples(), eager.total_triples());
+        assert_eq!(lazy.prefix_sums(), eager.prefix_sums());
+        assert!(!lazy.is_pending(1) && lazy.is_pending(2) && lazy.is_pending(4));
+        // Filling out of order, and twice, lands on the eager bits.
+        lazy.fill_cluster(3, &oracle);
+        lazy.fill_cluster(3, &oracle);
+        assert_eq!(lazy.pending_clusters(), 2);
+        assert_eq!(lazy.cluster_tau(3), eager.cluster_tau(3));
+        lazy.fill_cluster(4, &oracle);
+        lazy.fill_cluster(2, &oracle);
+        assert_eq!(lazy.pending_clusters(), 0);
+        assert_eq!(lazy.true_accuracy(), eager.true_accuracy());
+        for c in 0..eager.num_clusters() {
+            assert_eq!(lazy.cluster_tau(c), eager.cluster_tau(c), "{c}");
+        }
+        for g in 0..eager.total_triples() {
+            assert_eq!(lazy.label_at(g), eager.label_at(g), "global {g}");
         }
     }
 

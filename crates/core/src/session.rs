@@ -15,8 +15,11 @@
 //! it with a **fresh [`DenseAnnotator`]** that takes the session's store
 //! for the request and hands it back grown, after re-applying the
 //! session's merged tombstones so the live coordinate view matches the
-//! uninterrupted stream. Every session runs this one engine on the
-//! batched reservoir offer path. Estimates are a pure function of
+//! uninterrupted stream. Inserted clusters join the store *pending*: the
+//! annotator fills a cluster's labels from the session's oracle the first
+//! time it touches it (see [`kg_annotate::label_store`]), so a request
+//! pays the oracle only for the clusters its monitor annotates. Every
+//! session runs this one engine on the batched reservoir offer path. Estimates are a pure function of
 //! `(MonitorState, RNG cursor, oracle labels under the live view)`, so a
 //! session checkpointed mid-stream ([`SessionRegistry::checkpoint`]) and
 //! restored in a fresh process ([`SessionRegistry::restore`]) produces
@@ -38,10 +41,15 @@
 //! once tagged an annotation engine and a reservoir offer path, so v1
 //! encoders write `0` and `1` there and decoders accept `0` or `1` in
 //! each, reject anything else, and otherwise ignore them. The label store
-//! is *not* serialized — restore re-materializes it from the oracle spec
-//! and replays the batch log, which is byte-deterministic. Decoders reject unknown versions,
-//! truncated payloads, and structurally inconsistent records with typed
-//! [`CodecError`]s; they never panic on hostile input.
+//! is *not* serialized. Restore takes the base store from the registry's
+//! catalog and rebuilds only the *directory* of the logged batches (sizes
+//! and addresses); every logged cluster comes back pending and is
+//! labelled on first touch. Labels are a pure function of the oracle seed,
+//! cluster and offset, so the revived session is byte-deterministic, and
+//! revival costs O(record) — the base copy plus the batch log — with no
+//! oracle call. Decoders reject unknown versions, truncated payloads, and
+//! structurally inconsistent records with typed [`CodecError`]s; they
+//! never panic on hostile input.
 //!
 //! # Lifecycle: eviction, spill, revival
 //!
@@ -287,7 +295,8 @@ struct Session {
     oracle: RemOracle,
     state: MonitorState,
     rng: StdRng,
-    /// Gross (insert-only) label record of the evolved population.
+    /// Gross (insert-only) label record of the evolved population. Inserted
+    /// clusters stay pending until a request's annotator touches them.
     /// Tombstones live in `merged_dead`, never in the store, so dense
     /// replays of earlier batches stay byte-stable.
     store: Arc<LabelStore>,
@@ -1042,17 +1051,30 @@ impl SessionRegistry {
         id
     }
 
-    /// Decode a `KGSN` record and rebuild the full in-memory session
-    /// (label store re-materialized from the catalog + batch-log replay).
+    /// Decode a `KGSN` record and rebuild the full in-memory session: the
+    /// catalog's base label store plus the batch log's clusters appended
+    /// *pending*. Only the store's directory is rebuilt, so revival costs
+    /// O(record); each logged cluster is labelled when a later request
+    /// first annotates it.
     fn materialize(&self, bytes: &[u8]) -> Result<Session, SessionError> {
         let record = SessionRecord::decode(bytes)?;
         validate_spec(&record.spec)?;
         let oracle = RemOracle::new(record.spec.oracle_accuracy, record.spec.oracle_seed);
         let base = ImplicitKg::new(record.spec.base_sizes.clone())?;
         let mut store = self.catalog_store(&record.spec, &base, &oracle);
-        for sizes in &record.batch_log {
-            let batch = UpdateBatch::from_sizes(sizes.clone())?;
-            Arc::make_mut(&mut store).extend_with_batch(&batch, &oracle);
+        if !record.batch_log.is_empty() {
+            let grown = Arc::make_mut(&mut store);
+            let clusters = record.batch_log.iter().map(Vec::len).sum();
+            let triples = record
+                .batch_log
+                .iter()
+                .flatten()
+                .map(|&s| u64::from(s))
+                .sum();
+            grown.reserve(clusters, triples);
+            for sizes in &record.batch_log {
+                grown.append_pending(&UpdateBatch::from_sizes(sizes.clone())?);
+            }
         }
         for (cluster, dead) in &record.merged_dead {
             let raw = store.cluster_size(*cluster as usize) as u64;
@@ -1180,9 +1202,12 @@ impl SessionRegistry {
     /// spilled slot, preserving ids; `next_id` advances past the highest
     /// recovered id and past the store's persisted id floor, so ids of
     /// sessions whose records were lost or corrupted are never re-minted.
-    /// Returns the number of sessions adopted.
+    /// Temp files that a crashed save left behind are deleted
+    /// ([`CheckpointStore::remove_orphaned_temps`]). Returns the number of
+    /// sessions adopted.
     pub fn recover_from_store(&self) -> Result<usize, SessionError> {
         let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
+        store.remove_orphaned_temps().map_err(SpillError::from)?;
         let ids = store.ids().map_err(SpillError::from)?;
         let mut sessions = self.sessions.lock().unwrap();
         if let Some(floor) = store.id_floor() {
@@ -1282,9 +1307,9 @@ impl SessionRegistry {
 
     /// Restore a session from a `KGSN` checkpoint into this registry
     /// (typically a fresh process) and return its new id. The label store
-    /// is re-materialized from the oracle spec and batch log; the
-    /// estimate stream continues byte-identically to the uninterrupted
-    /// session.
+    /// is rebuilt from the catalog's base store and the batch log's sizes,
+    /// with the logged clusters pending until first touch; the estimate
+    /// stream continues byte-identically to the uninterrupted session.
     pub fn restore(&self, bytes: &[u8]) -> Result<u64, SessionError> {
         let session = self.materialize(bytes)?;
         let id = self.insert(session);
@@ -1793,6 +1818,34 @@ mod tests {
     }
 
     #[test]
+    fn recovery_deletes_temp_files_of_crashed_saves() {
+        let dir = scratch("orphan-tmp");
+        let first = lifecycle(&dir, LifecyclePolicy::default());
+        let a = first.register(rs_spec()).unwrap();
+        first.apply_events(a, &stream()[..1]).unwrap();
+        let want = first.estimate(a).unwrap();
+        assert_eq!(first.drain_to_store().unwrap(), 1);
+        drop(first);
+        // A save of session `a` and one of a never-completed session were
+        // killed between the temp write and the rename.
+        let dead_pid = std::process::id().wrapping_add(1);
+        let orphans = [
+            dir.join(format!("session-{a}.kgsn.{dead_pid}.tmp")),
+            dir.join(format!("session-{}.kgsn.{dead_pid}.tmp", a + 1)),
+        ];
+        for orphan in &orphans {
+            std::fs::write(orphan, b"KGSN torn").unwrap();
+        }
+        let second = lifecycle(&dir, LifecyclePolicy::default());
+        assert_eq!(second.recover_from_store().unwrap(), 1);
+        for orphan in &orphans {
+            assert!(!orphan.exists(), "{} survived recovery", orphan.display());
+        }
+        assert_eq!(bits(&second.estimate(a).unwrap()), bits(&want));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn write_through_survives_an_abrupt_kill() {
         let dir = scratch("wt");
         let events = stream();
@@ -1948,5 +2001,76 @@ mod tests {
         );
         assert_eq!(got.labeled, want.labeled);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(pending clusters, clusters)` of a resident session's label store.
+    fn store_fill(registry: &SessionRegistry, id: u64) -> (usize, usize) {
+        let sessions = registry.sessions.lock().unwrap();
+        let Some(Slot::Live(slot)) = sessions.get(&id) else {
+            panic!("session {id} is not resident");
+        };
+        let session = slot.session.lock().unwrap();
+        (
+            session.store.pending_clusters(),
+            session.store.num_clusters(),
+        )
+    }
+
+    #[test]
+    fn revival_labels_logged_clusters_only_on_first_touch() {
+        // Revival rebuilds the directory from the batch log and nothing
+        // more: every logged cluster comes back pending, a read fills
+        // none, and a request fills only clusters its monitor annotates.
+        let cost = CostModel::default();
+        for (tag, spec) in [("pending-rs", rs_spec()), ("pending-ss", ss_spec())] {
+            let dir = scratch(tag);
+            let registry = lifecycle(&dir, LifecyclePolicy::default());
+            let control = SessionRegistry::new();
+            let id = registry.register(spec.clone()).unwrap();
+            let cid = control.register(spec.clone()).unwrap();
+            let batches: Vec<UpdateBatch> = (0..5u32)
+                .map(|k| UpdateBatch::from_sizes(vec![2 + k % 3; 40]).unwrap())
+                .collect();
+            for batch in &batches {
+                registry
+                    .apply_batches(id, std::slice::from_ref(batch))
+                    .unwrap();
+                control
+                    .apply_batches(cid, std::slice::from_ref(batch))
+                    .unwrap();
+            }
+            let logged = 5 * 40;
+            let extent = spec.base_sizes.len() + logged;
+            assert!(registry.evict(id).unwrap(), "{tag}");
+
+            let read = registry.estimate(id).unwrap();
+            assert_eq!(store_fill(&registry, id), (logged, extent), "{tag}");
+            assert_eq!(bits(&read), bits(&control.estimate(cid).unwrap()), "{tag}");
+
+            let insert = UpdateBatch::from_sizes(vec![3; 50]).unwrap();
+            let got = registry
+                .apply_batches(id, std::slice::from_ref(&insert))
+                .unwrap();
+            let want = control.apply_batches(cid, &[insert]).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{tag}");
+            assert_eq!(
+                got.cumulative_cost_seconds.to_bits(),
+                want.cumulative_cost_seconds.to_bits(),
+                "{tag}"
+            );
+            let (pending, clusters) = store_fill(&registry, id);
+            assert_eq!(clusters, extent + 50, "{tag}");
+            let filled = logged + 50 - pending;
+            // Only a touch fills, and every touch identifies its cluster
+            // and labels at least one of its triples, so each filled
+            // cluster was charged at least c1 + c2 by this request.
+            let charged = got.cumulative_cost_seconds - read.cumulative_cost_seconds;
+            assert!(filled > 0, "{tag}: the insert annotated nothing");
+            assert!(
+                filled as f64 * (cost.c1 + cost.c2) <= charged,
+                "{tag}: filled {filled} clusters for {charged} s of annotation"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

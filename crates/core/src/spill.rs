@@ -18,7 +18,8 @@
 //! [`kg_stats::codec::CodecError`] — never a panic, never a partial
 //! session. Writes go through [`kg_stats::atomicfile::write_atomic`]
 //! (temp + rename), so a crash mid-save leaves the previous complete
-//! record in place.
+//! record in place, plus an orphaned `<record>.<pid>.tmp` file that
+//! [`CheckpointStore::remove_orphaned_temps`] deletes at recovery.
 
 use std::fmt;
 use std::io;
@@ -142,6 +143,40 @@ impl CheckpointStore {
         out.sort_unstable();
         Ok(out)
     }
+
+    /// Delete the temp files that saves interrupted by a crash left behind
+    /// (`session-<id>.kgsn.<pid>.tmp` and `next-id.<pid>.tmp`), returning
+    /// how many were removed. Temp files of the calling process are kept:
+    /// they may belong to a save in flight. Call it only while no other
+    /// process writes to the directory, as recovery does. A file that
+    /// cannot be removed is skipped.
+    pub fn remove_orphaned_temps(&self) -> io::Result<usize> {
+        let own = std::process::id().to_string();
+        let mut removed = 0;
+        for entry in std::fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some((target, pid)) = name
+                .to_str()
+                .and_then(|n| n.strip_suffix(".tmp"))
+                .and_then(|n| n.rsplit_once('.'))
+            else {
+                continue;
+            };
+            let is_record = target
+                .strip_prefix("session-")
+                .and_then(|s| s.strip_suffix(".kgsn"))
+                .is_some_and(|id| id.parse::<u64>().is_ok());
+            if (is_record || target == "next-id")
+                && pid.parse::<u32>().is_ok()
+                && pid != own
+                && std::fs::remove_file(entry.path()).is_ok()
+            {
+                removed += 1;
+            }
+        }
+        Ok(removed)
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +235,41 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), b"hi").unwrap();
         std::fs::write(dir.join("session-bogus.kgsn"), b"hi").unwrap();
         assert_eq!(store.ids().unwrap(), vec![12]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn orphaned_temps_are_removed_and_everything_else_kept() {
+        let dir = scratch("orphans");
+        let store = CheckpointStore::open(&dir).unwrap();
+        store.save(4, b"record").unwrap();
+        store.record_id_floor(5).unwrap();
+        let other = std::process::id().wrapping_add(1);
+        let own = std::process::id();
+        let orphans = [
+            format!("session-4.kgsn.{other}.tmp"),
+            format!("session-17.kgsn.{other}.tmp"),
+            format!("next-id.{other}.tmp"),
+        ];
+        let kept = [
+            format!("session-4.kgsn.{own}.tmp"),
+            "session-4.kgsn.notapid.tmp".to_string(),
+            format!("notes.{other}.tmp"),
+            "notes.txt".to_string(),
+        ];
+        for name in orphans.iter().chain(&kept) {
+            std::fs::write(dir.join(name), b"torn").unwrap();
+        }
+        assert_eq!(store.remove_orphaned_temps().unwrap(), orphans.len());
+        for name in &orphans {
+            assert!(!dir.join(name).exists(), "{name} survived");
+        }
+        for name in &kept {
+            assert!(dir.join(name).exists(), "{name} was removed");
+        }
+        assert_eq!(store.load(4).unwrap(), b"record");
+        assert_eq!(store.id_floor(), Some(5));
+        assert_eq!(store.remove_orphaned_temps().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -293,12 +293,21 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("no raw control characters")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.input[self.pos..])
-                        .map_err(|_| self.err("valid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("a character"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte as one validated slice. Those bytes are
+                    // ASCII, so they never split a UTF-8 sequence, and the
+                    // string costs O(its length).
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.input[start..self.pos]).map_err(|e| {
+                        JsonError {
+                            what: "valid UTF-8",
+                            at: start + e.valid_up_to(),
+                        }
+                    })?;
+                    out.push_str(run);
                 }
             }
         }
