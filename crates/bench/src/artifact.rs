@@ -4,8 +4,7 @@
 //! interrupted mid-write (Ctrl-C, OOM-kill, CI timeout) left a truncated
 //! artifact that the next diff would misread as a real regression. The
 //! temp-file + rename implementation now lives in
-//! [`kg_stats::atomicfile`], where the session spill store
-//! (`kg_eval::spill::CheckpointStore`) shares it; this module re-exports
-//! it so every bench call site keeps its historical path.
+//! [`kg_stats::atomicfile`]; this module re-exports it so every bench
+//! call site keeps its historical path.
 
 pub use kg_stats::atomicfile::write_atomic;

@@ -67,7 +67,10 @@
 //! never serves a partially-decoded session.
 //!
 //! `write_through` additionally persists a session after every mutating
-//! request, so an abrupt process kill between requests loses nothing;
+//! request, so an abrupt process kill between requests loses nothing.
+//! Every save of a session — eviction, drain, write-through — encodes
+//! and writes under the session's mutex, so the record on disk is always
+//! the state after the last finished request;
 //! [`SessionRegistry::drain_to_store`] checkpoints every live session at
 //! shutdown and [`SessionRegistry::recover_from_store`] re-adopts the
 //! full spilled tenant set (ids preserved) at startup.
@@ -1158,8 +1161,7 @@ impl SessionRegistry {
         if l.in_use != 0 {
             return false;
         }
-        let bytes = l.session.lock().unwrap().checkpoint();
-        if store.save(id, &bytes).is_err() {
+        if persist(store, id, &l.session).is_err() {
             self.persist_failures.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -1190,8 +1192,7 @@ impl SessionRegistry {
         let mut persisted = 0;
         for (&id, slot) in sessions.iter() {
             if let Slot::Live(l) = slot {
-                let bytes = l.session.lock().unwrap().checkpoint();
-                store.save(id, &bytes).map_err(SpillError::from)?;
+                persist(store, id, &l.session).map_err(SpillError::from)?;
                 persisted += 1;
             }
         }
@@ -1202,11 +1203,13 @@ impl SessionRegistry {
     /// spilled slot, preserving ids; `next_id` advances past the highest
     /// recovered id and past the store's persisted id floor, so ids of
     /// sessions whose records were lost or corrupted are never re-minted.
-    /// Temp files that a crashed save left behind are deleted
-    /// ([`CheckpointStore::remove_orphaned_temps`]). Returns the number of
-    /// sessions adopted.
+    /// Spare files that a killed save left behind are settled
+    /// ([`CheckpointStore::settle_spares`]), and older builds' temp files
+    /// deleted ([`CheckpointStore::remove_orphaned_temps`]). Returns the
+    /// number of sessions adopted.
     pub fn recover_from_store(&self) -> Result<usize, SessionError> {
         let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
+        store.settle_spares().map_err(SpillError::from)?;
         store.remove_orphaned_temps().map_err(SpillError::from)?;
         let ids = store.ids().map_err(SpillError::from)?;
         let mut sessions = self.sessions.lock().unwrap();
@@ -1233,8 +1236,7 @@ impl SessionRegistry {
             return;
         }
         let Some(store) = &self.store else { return };
-        let bytes = guard.session.lock().unwrap().checkpoint();
-        if store.save(guard.id, &bytes).is_err() {
+        if persist(store, guard.id, &guard.session).is_err() {
             self.persist_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1403,6 +1405,16 @@ impl SessionRegistry {
         self.enforce();
         Ok(report)
     }
+}
+
+/// Encode a session and save it to the store, both under the session's
+/// mutex. Every save of a session goes through here, so saves of one id
+/// never overlap (the store rotates one spare per id) and a save never
+/// lands after a newer one: the last record written is always the state
+/// of the last request that finished.
+fn persist(store: &CheckpointStore, id: u64, session: &Mutex<Session>) -> std::io::Result<()> {
+    let session = session.lock().unwrap();
+    store.save(id, &session.checkpoint())
 }
 
 #[cfg(test)]
@@ -1826,8 +1838,8 @@ mod tests {
         let want = first.estimate(a).unwrap();
         assert_eq!(first.drain_to_store().unwrap(), 1);
         drop(first);
-        // A save of session `a` and one of a never-completed session were
-        // killed between the temp write and the rename.
+        // An older build's temp-file saves of session `a` and of a
+        // never-completed session were killed before their rename.
         let dead_pid = std::process::id().wrapping_add(1);
         let orphans = [
             dir.join(format!("session-{a}.kgsn.{dead_pid}.tmp")),

@@ -2,13 +2,16 @@
 //! one shared registry (one `TrialExecutor`, interned label stores) must
 //! produce estimate streams **byte-identical** to each tenant run
 //! sequentially in its own isolated registry — at 1 and 4 executor
-//! workers, and regardless of thread interleaving.
+//! workers, and regardless of thread interleaving. Concurrent requests
+//! on one write-through tenant leave a spill record that holds every
+//! acknowledged event.
 
 use kg_eval::config::EvalConfig;
-use kg_eval::session::{EvaluatorKind, SessionRegistry, SessionSpec};
-use kg_eval::TrialExecutor;
+use kg_eval::session::{EvaluatorKind, LifecyclePolicy, SessionRegistry, SessionSpec};
+use kg_eval::{CheckpointStore, TrialExecutor};
 use kg_model::retract::{KgEvent, Retraction};
 use kg_model::update::UpdateBatch;
+use std::sync::Barrier;
 use std::thread;
 
 const TENANTS: usize = 8;
@@ -160,4 +163,55 @@ fn checkpoints_taken_under_concurrency_restore_identically() {
             assert_eq!(live.units, restored.units, "tenant {t}");
         }
     }
+}
+
+#[test]
+fn concurrent_write_through_record_holds_every_acknowledged_event() {
+    const THREADS: usize = 4;
+    const REQUESTS: usize = 120;
+    let dir = std::env::temp_dir().join(format!("kg-stress-wt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = SessionRegistry::with_lifecycle(
+        TrialExecutor::new().with_workers(1),
+        LifecyclePolicy {
+            write_through: true,
+            ..LifecyclePolicy::default()
+        },
+        CheckpointStore::open(&dir).unwrap(),
+    );
+    let id = registry.register(spec_for(0)).unwrap();
+    // Every thread's requests land on the one tenant, so its saves race
+    // with each other unless they are serialised.
+    let start = Barrier::new(THREADS);
+    let acknowledged: u64 = thread::scope(|scope| {
+        let (registry, start) = (&registry, &start);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                scope.spawn(move || {
+                    start.wait();
+                    let mut events = 0;
+                    for r in 0..REQUESTS {
+                        let request: Vec<KgEvent> = (0..1 + (t + r) % 3)
+                            .map(|_| KgEvent::Insert(UpdateBatch::from_sizes(vec![2; 3]).unwrap()))
+                            .collect();
+                        registry.apply_events(id, &request).unwrap();
+                        events += request.len() as u64;
+                    }
+                    events
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(registry.stats().persist_failures, 0);
+    let record = registry.store().unwrap().load(id).unwrap();
+    let revived = SessionRegistry::new();
+    let revived_id = revived.restore(&record).unwrap();
+    assert_eq!(
+        revived.estimate(revived_id).unwrap().events_applied,
+        acknowledged,
+        "the last record written is not the last acknowledged state"
+    );
+    assert_eq!(record, registry.checkpoint(id).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
 }

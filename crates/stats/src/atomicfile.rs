@@ -1,13 +1,17 @@
 //! Atomic file writes (temp + rename).
 //!
-//! Two layers depend on never observing a torn file: benchmark artifacts
-//! (`BENCH_*.json`, read by CI diffs) and session spill files
-//! (`kg_eval`'s `CheckpointStore`, read by crash recovery). Both route
-//! through [`write_atomic`]: the payload goes to a process-unique temp
-//! file in the target's directory and is renamed over the destination —
-//! on every platform we run, `rename` within one filesystem replaces the
-//! target atomically, so readers observe either the old file or the
-//! complete new one, never a prefix.
+//! Benchmark artifacts (`BENCH_*.json`, read by CI diffs) must never be
+//! observed torn. [`write_atomic`] writes the payload to a process-unique
+//! temp file in the target's directory and renames it over the
+//! destination — on every platform we run, `rename` within one
+//! filesystem replaces the target atomically, so readers observe either
+//! the old file or the complete new one, never a prefix.
+//!
+//! Each call creates a file and frees the old one's inode, which costs
+//! several times more than writing a small payload. Session spill
+//! records, saved on every eviction, therefore do not use it: `kg_eval`'s
+//! `CheckpointStore` rotates a retained spare file per record under the
+//! same rename guarantee. Neither fsyncs.
 
 use std::io;
 use std::path::{Path, PathBuf};
