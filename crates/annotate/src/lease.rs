@@ -67,37 +67,6 @@ impl DenseArenaPool {
         }
     }
 
-    /// Lease `n` arenas under **one** lock acquisition on the idle list.
-    ///
-    /// Sharded replay checks out one arena per shard worker at trial
-    /// start; doing that through [`checkout`](Self::checkout) would take
-    /// the idle mutex `n` times back-to-back from the coordinating thread.
-    /// Here the idle list is drained once and only the shortfall is built
-    /// fresh (outside any lock — arena construction is the expensive
-    /// part).
-    pub fn checkout_many(&self, n: usize) -> Vec<ArenaLease<'_>> {
-        let mut arenas = {
-            let mut idle = lock_unpoisoned(&self.idle);
-            let keep = idle.len().saturating_sub(n);
-            idle.split_off(keep)
-        };
-        if arenas.len() < n {
-            let missing = n - arenas.len();
-            *lock_unpoisoned(&self.built) += missing;
-            arenas.extend(
-                std::iter::repeat_with(|| DenseAnnotator::new(self.store.clone(), self.cost))
-                    .take(missing),
-            );
-        }
-        arenas
-            .into_iter()
-            .map(|arena| ArenaLease {
-                pool: self,
-                arena: Some(arena),
-            })
-            .collect()
-    }
-
     /// Total arenas ever built — with one long-lived lease per worker this
     /// stays at the peak concurrent worker count.
     pub fn arenas_built(&self) -> usize {
@@ -260,33 +229,6 @@ mod tests {
         assert!(tau <= 4);
         drop(lease);
         assert_eq!(pool.idle_arenas(), 1);
-    }
-
-    #[test]
-    fn checkout_many_drains_idle_first_and_builds_only_the_shortfall() {
-        let pool = pool();
-        // Warm two arenas into the idle list.
-        drop(pool.checkout());
-        drop(pool.checkout_many(2));
-        assert_eq!(pool.arenas_built(), 2);
-        assert_eq!(pool.idle_arenas(), 2);
-
-        // Batch of 5: reuses both idle arenas, builds 3 fresh.
-        let mut batch = pool.checkout_many(5);
-        assert_eq!(batch.len(), 5);
-        assert_eq!(pool.arenas_built(), 5);
-        assert_eq!(pool.idle_arenas(), 0);
-        // Every lease in the batch is independently usable and reset.
-        for (i, lease) in batch.iter_mut().enumerate() {
-            assert_eq!(lease.seconds(), 0.0, "lease {i} not fresh");
-            lease.annotate_cluster(i as u32, 4);
-        }
-        drop(batch);
-        assert_eq!(pool.idle_arenas(), 5);
-
-        // Zero-size batch is a no-op.
-        assert!(pool.checkout_many(0).is_empty());
-        assert_eq!(pool.arenas_built(), 5);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | flag | harness | artifact (schema) |
 //! |---|---|---|
 //! | *(none)* | static SRS/WCS/TWCS trial loops, hash vs dense engine | `BENCH_throughput.json` (`kg-bench-throughput/v1`) |
-//! | `--parallel` | `TrialExecutor` worker sweep (1/2/4/8) over static TWCS, with the bitwise worker-count-invariance check | `BENCH_parallel.json` (`kg-bench-parallel/v2`) |
+//! | `--parallel` | `TrialExecutor` worker sweep (1/2/4/8) over static TWCS and one sharded replay, each cell timed 5 times (median, IQR), with the bitwise worker-count-invariance check | `BENCH_parallel.json` (`kg-bench-parallel/v3`) |
 //! | `--churn` | the §6 incremental evaluators (RS/SS) over evolving-KG event streams at 0%/25%/50% delete fractions — 0% is the paper's insert-only stream — with per-fraction cross-engine and cross-offer-path identity checks | `BENCH_churn.json` (`kg-bench-churn/v1`) |
 //! | `--scenarios` | the adversarial scenario matrix: every `kg_datagen::scenario` family through all eight evaluators under both engines, with per-cell identity and CI-coverage flags | `BENCH_scenarios.json` (`kg-bench-scenarios/v1`) |
 //! | `--resilience` | the deterministic kg-serve chaos harness: seeded connection faults, abrupt kills, spill sabotage, and a drain→restart cycle, every served estimate byte-checked against a fault-free replay | `BENCH_resilience.json` (`kg-bench-resilience/v1`) |
@@ -21,8 +21,8 @@
 //! truncated JSON. Run release: `cargo run --release -p kg-bench --bin
 //! bench-report`.
 
-use kg_bench::artifact::write_atomic;
 use kg_bench::{chaos, churn, parallel, scenarios, throughput, BenchOpts};
+use kg_stats::atomicfile::write_atomic;
 
 /// A harness run: the console table and the JSON artifact.
 type Run = fn(&BenchOpts) -> (String, String);

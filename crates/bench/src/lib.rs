@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ablation;
-pub mod artifact;
 pub mod chaos;
 pub mod churn;
 pub mod fig1;

@@ -1,6 +1,7 @@
 //! Tracked parallel-scaling harness: the static TWCS workload on the
 //! [`kg_eval::executor::TrialExecutor`] at forced worker counts, plus an
-//! **intra-trial** shard sweep on [`kg_eval::sharded::ShardedReplay`].
+//! **intra-trial** shard sweep of [`kg_eval::sharded`] replays on the same
+//! executor.
 //!
 //! `bench-report --parallel` times the same seeded trial set — iterative
 //! TWCS(m=5) evaluation to a tight ε = 1% MoE target, the configuration
@@ -9,8 +10,10 @@
 //! annotator per trial vs one leased dense arena per worker). Schema v2
 //! adds a second sweep one level down: a single fixed-size WCS sharded
 //! replay at 1, 2, 4, and 8 *shard workers* per scale, measuring
-//! single-replay latency rather than trial throughput. The artifact is
-//! `BENCH_parallel.json` (schema `kg-bench-parallel/v2`).
+//! single-replay latency rather than trial throughput. Schema v3 times
+//! every cell [`TIMED_RUNS`] times and records the median and IQR; the
+//! speedups divide medians. The artifact is `BENCH_parallel.json` (schema
+//! `kg-bench-parallel/v3`).
 //!
 //! Two properties are recorded per sweep, and both matter:
 //!
@@ -23,8 +26,8 @@
 //!   the curve is the point.
 //! * **invariance** — the aggregated estimate mean/std must be **bitwise
 //!   identical across every worker count and both engines**. This is the
-//!   correctness half of both contracts ([`TrialExecutor`] across trials,
-//!   `ShardedReplay` across shard workers) and is asserted by
+//!   correctness half of both contracts (across trials, and across the
+//!   workers that claim one replay's shards) and is asserted by
 //!   [`ParallelScaleReport::bitwise_invariant`] /
 //!   [`ParallelScaleReport::engines_agree`] and their
 //!   [`ShardSweep`] counterparts, which the JSON records.
@@ -37,7 +40,7 @@ use kg_annotate::oracle::RemOracle;
 use kg_eval::config::EvalConfig;
 use kg_eval::executor::TrialExecutor;
 use kg_eval::framework::Evaluator;
-use kg_eval::sharded::{ShardDesign, ShardedReplay, DEFAULT_SHARD_UNITS};
+use kg_eval::sharded::{num_shards, replay_dense, replay_hash, ShardDesign, DEFAULT_SHARD_UNITS};
 use kg_sampling::PopulationIndex;
 use kg_stats::RunningMoments;
 use rand::rngs::StdRng;
@@ -51,6 +54,8 @@ pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub const SHARD_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Second-stage cap of the TWCS workload.
 pub const M: usize = 5;
+/// Timed repetitions of every cell; a cell reports their median and IQR.
+pub const TIMED_RUNS: usize = 5;
 
 /// The CPUs this process may run on (`Cpus_allowed_list` from
 /// `/proc/self/status`), or `"unknown"` where unavailable — context for
@@ -84,8 +89,10 @@ pub struct WorkerMeasurement {
     pub workers: usize,
     /// Trials executed.
     pub trials: u64,
-    /// Wall-clock seconds for the whole trial set.
+    /// Median wall-clock seconds for the whole trial set.
     pub elapsed_sec: f64,
+    /// Interquartile range of the timed runs' seconds.
+    pub elapsed_iqr_sec: f64,
     /// `trials / elapsed_sec`.
     pub trials_per_sec: f64,
     /// Aggregated estimate mean — must be bitwise identical across rows.
@@ -101,10 +108,12 @@ pub struct WorkerMeasurement {
 pub struct ShardMeasurement {
     /// Engine name (`hash` / `dense`).
     pub engine: &'static str,
-    /// Forced shard-worker count.
+    /// Forced worker count of the executor the replay fans out on.
     pub shard_workers: usize,
-    /// Wall-clock seconds for the single sharded replay.
+    /// Median wall-clock seconds for the single sharded replay.
     pub elapsed_sec: f64,
+    /// Interquartile range of the timed runs' seconds.
+    pub elapsed_iqr_sec: f64,
     /// `units / elapsed_sec` — cluster visits per second.
     pub visits_per_sec: f64,
     /// Replay estimate mean — must be bitwise identical across rows.
@@ -136,7 +145,7 @@ impl ShardSweep {
             .find(|m| m.engine == engine && m.shard_workers == shard_workers)
     }
 
-    /// Replay speedup of `shard_workers` over the 1-worker row.
+    /// Replay speedup of `shard_workers` over the 1-worker row (medians).
     pub fn speedup(&self, engine: &str, shard_workers: usize) -> Option<f64> {
         Some(self.cell(engine, 1)?.elapsed_sec / self.cell(engine, shard_workers)?.elapsed_sec)
     }
@@ -190,7 +199,7 @@ pub struct ParallelScaleReport {
     pub store_build_sec: f64,
     /// Per-engine, per-worker-count measurements.
     pub measurements: Vec<WorkerMeasurement>,
-    /// The intra-trial shard sweep at this scale (schema v2).
+    /// The intra-trial shard sweep at this scale (since schema v2).
     pub shard_sweep: ShardSweep,
 }
 
@@ -201,13 +210,14 @@ impl ParallelScaleReport {
             .find(|m| m.engine == engine && m.workers == workers)
     }
 
-    /// Speedup of `workers` over the 1-worker row for one engine.
+    /// Speedup of `workers` over the 1-worker row for one engine
+    /// (medians).
     pub fn speedup(&self, engine: &str, workers: usize) -> Option<f64> {
         Some(self.cell(engine, 1)?.elapsed_sec / self.cell(engine, workers)?.elapsed_sec)
     }
 
     /// Speedup of `workers` over 1 worker with both engines' trial sets
-    /// combined.
+    /// combined (sums of medians).
     pub fn combined_speedup(&self, workers: usize) -> Option<f64> {
         let total =
             |w: usize| Some(self.cell("hash", w)?.elapsed_sec + self.cell("dense", w)?.elapsed_sec);
@@ -264,6 +274,28 @@ pub struct ParallelReport {
     pub scales: Vec<ParallelScaleReport>,
 }
 
+/// Run `cell` [`TIMED_RUNS`] times and return the median and IQR of its
+/// seconds, with the last run's output. The cell is deterministic, so
+/// every run's output is the same.
+fn timed<T>(mut cell: impl FnMut() -> T) -> (f64, f64, T) {
+    let mut secs = Vec::with_capacity(TIMED_RUNS);
+    let mut out = None;
+    for _ in 0..TIMED_RUNS {
+        let t0 = Instant::now();
+        out = Some(cell());
+        secs.push(t0.elapsed().as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+    // Linear-interpolated quantiles over the sorted runs.
+    let quantile = |q: f64| {
+        let pos = q * (secs.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        secs[lo] + (secs[hi] - secs[lo]) * (pos - lo as f64)
+    };
+    let iqr = quantile(0.75) - quantile(0.25);
+    (quantile(0.5), iqr, out.expect("TIMED_RUNS is at least 1"))
+}
+
 fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> ParallelScaleReport {
     let sizes = synthetic_sizes(target);
     let oracle = RemOracle::new(0.9, seed ^ target);
@@ -311,15 +343,14 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
         run(1, trials);
         run(*WORKER_COUNTS.last().expect("non-empty sweep"), trials);
         for workers in WORKER_COUNTS {
-            let t0 = Instant::now();
-            let [estimate, cost] = run(workers, trials);
-            let elapsed = t0.elapsed().as_secs_f64();
+            let (median, iqr, [estimate, cost]) = timed(|| run(workers, trials));
             measurements.push(WorkerMeasurement {
                 engine,
                 workers,
                 trials,
-                elapsed_sec: elapsed,
-                trials_per_sec: trials as f64 / elapsed,
+                elapsed_sec: median,
+                elapsed_iqr_sec: iqr,
+                trials_per_sec: trials as f64 / median,
                 mean_estimate: estimate.mean(),
                 std_estimate: estimate.sample_std(),
                 mean_cost_seconds: cost.mean(),
@@ -333,12 +364,12 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
     // varies, so every cell must agree bitwise.
     let replay_seed = seed ^ 0x51AD;
     let mut shard_measurements = Vec::new();
-    let sharded = ShardedReplay::new();
     for engine in ["hash", "dense"] {
         let run = |shard_workers: usize| {
-            let replay = ShardedReplay::new().with_shard_workers(shard_workers);
+            let exec = TrialExecutor::new().with_workers(shard_workers);
             match engine {
-                "hash" => replay.replay_hash(
+                "hash" => replay_hash(
+                    &exec,
                     ShardDesign::FullCluster,
                     &idx,
                     &oracle,
@@ -346,7 +377,8 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
                     replay_units,
                     replay_seed,
                 ),
-                _ => replay.replay_dense(
+                _ => replay_dense(
+                    &exec,
                     ShardDesign::FullCluster,
                     &idx,
                     &pool,
@@ -359,14 +391,13 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
         run(1);
         run(*SHARD_WORKER_COUNTS.last().expect("non-empty sweep"));
         for shard_workers in SHARD_WORKER_COUNTS {
-            let t0 = Instant::now();
-            let r = run(shard_workers);
-            let elapsed = t0.elapsed().as_secs_f64();
+            let (median, iqr, r) = timed(|| run(shard_workers));
             shard_measurements.push(ShardMeasurement {
                 engine,
                 shard_workers,
-                elapsed_sec: elapsed,
-                visits_per_sec: replay_units as f64 / elapsed,
+                elapsed_sec: median,
+                elapsed_iqr_sec: iqr,
+                visits_per_sec: replay_units as f64 / median,
                 estimate_mean: r.estimate.mean,
                 estimate_var: r.estimate.var_of_mean,
                 cost_seconds: r.cost_seconds,
@@ -381,7 +412,7 @@ fn run_scale(target: u64, trials: u64, replay_units: u64, seed: u64) -> Parallel
         measurements,
         shard_sweep: ShardSweep {
             units: replay_units,
-            shards: sharded.num_shards(replay_units),
+            shards: num_shards(replay_units),
             shard_units: DEFAULT_SHARD_UNITS,
             measurements: shard_measurements,
         },
@@ -411,17 +442,20 @@ pub fn run(opts: &BenchOpts) -> ParallelReport {
 }
 
 /// Render the report as the `BENCH_parallel.json` document
-/// (schema `kg-bench-parallel/v2`; see README § Parallel execution).
+/// (schema `kg-bench-parallel/v3`; see README § Parallel execution).
 pub fn to_json(report: &ParallelReport) -> String {
     let cfg = workload_config();
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"kg-bench-parallel/v2\",\n");
+    s.push_str("  \"schema\": \"kg-bench-parallel/v3\",\n");
     s.push_str(&format!("  \"quick\": {},\n", report.quick));
     s.push_str(&format!("  \"seed\": {},\n", report.seed));
     s.push_str(&format!("  \"host_workers\": {},\n", report.host_workers));
     s.push_str(&format!("  \"affinity\": \"{}\",\n", report.affinity));
     s.push_str("  \"metric\": \"trials_per_second\",\n");
+    s.push_str(&format!(
+        "  \"timing\": {{\"runs_per_cell\": {TIMED_RUNS}, \"elapsed_sec\": \"median\", \"elapsed_iqr_sec\": \"q3 - q1\"}},\n"
+    ));
     s.push_str(&format!(
         "  \"workload\": {{\"design\": \"TWCS\", \"m\": {M}, \"target_moe\": {}, \
          \"alpha\": {}, \"batch_size\": {}}},\n",
@@ -441,13 +475,14 @@ pub fn to_json(report: &ParallelReport) -> String {
         for (j, m) in sc.measurements.iter().enumerate() {
             s.push_str(&format!(
                 "        {{\"engine\": \"{}\", \"workers\": {}, \"trials\": {}, \
-                 \"elapsed_sec\": {:.6}, \"trials_per_sec\": {:.1}, \
+                 \"elapsed_sec\": {:.6}, \"elapsed_iqr_sec\": {:.6}, \"trials_per_sec\": {:.1}, \
                  \"mean_estimate\": {:.9}, \"std_estimate\": {:.9}, \
                  \"mean_cost_seconds\": {:.3}}}{}\n",
                 m.engine,
                 m.workers,
                 m.trials,
                 m.elapsed_sec,
+                m.elapsed_iqr_sec,
                 m.trials_per_sec,
                 m.mean_estimate,
                 m.std_estimate,
@@ -498,12 +533,13 @@ pub fn to_json(report: &ParallelReport) -> String {
         for (j, m) in sw.measurements.iter().enumerate() {
             s.push_str(&format!(
                 "          {{\"engine\": \"{}\", \"shard_workers\": {}, \
-                 \"elapsed_sec\": {:.6}, \"visits_per_sec\": {:.1}, \
+                 \"elapsed_sec\": {:.6}, \"elapsed_iqr_sec\": {:.6}, \"visits_per_sec\": {:.1}, \
                  \"estimate_mean\": {:.9}, \"estimate_var\": {:.12}, \
                  \"cost_seconds\": {:.3}}}{}\n",
                 m.engine,
                 m.shard_workers,
                 m.elapsed_sec,
+                m.elapsed_iqr_sec,
                 m.visits_per_sec,
                 m.estimate_mean,
                 m.estimate_var,
@@ -549,7 +585,8 @@ pub fn to_json(report: &ParallelReport) -> String {
 /// Human-readable table for the console.
 pub fn render_table(report: &ParallelReport) -> String {
     let mut s = format!(
-        "parallel scaling — TWCS(m={M}) to MoE 1%, host workers {} (affinity {})\n",
+        "parallel scaling — TWCS(m={M}) to MoE 1%, host workers {} (affinity {}), \
+         elapsed = median of {TIMED_RUNS} runs\n",
         report.host_workers, report.affinity
     );
     for sc in &report.scales {
@@ -635,7 +672,8 @@ mod tests {
         };
         assert!(!report.affinity.is_empty());
         let json = to_json(&report);
-        assert!(json.contains("\"schema\": \"kg-bench-parallel/v2\""));
+        assert!(json.contains("\"schema\": \"kg-bench-parallel/v3\""));
+        assert!(json.contains("\"elapsed_iqr_sec\": "));
         assert!(json.contains("\"affinity\": \""));
         assert!(json.contains("\"bitwise_invariant\": true"));
         assert!(!json.contains("\"bitwise_invariant\": false"));

@@ -1,10 +1,10 @@
 //! Sharded-replay determinism experiment: exact metric dump of intra-trial
-//! sharded replays under the **default** (environment-resolved) shard
-//! worker count.
+//! sharded replays on a **default** (environment-resolved) executor.
 //!
-//! This is the `KG_EVAL_SHARDS` counterpart of the worker-count matrix in
-//! the CI determinism job: the job runs `repro sharded` under
-//! `KG_EVAL_SHARDS=1` and `=4` and byte-diffs the output. Every number
+//! Sharded replay fans out on the same [`TrialExecutor`] as the trial
+//! runtime, so the CI determinism job covers it with the worker-count
+//! matrix it already runs: `repro sharded` under `KG_EVAL_WORKERS=1` and
+//! `=4`, byte-diffed. Every number
 //! below is printed with full bit fidelity (hex-encoded f64 bits next to
 //! the rounded decimal), so a single low-bit divergence anywhere in the
 //! sharded walk, merge tree, or kernel layer fails the diff.
@@ -15,12 +15,13 @@ use crate::Opts;
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
-use kg_eval::sharded::{ShardDesign, ShardedReplay, DEFAULT_SHARD_UNITS};
+use kg_eval::executor::TrialExecutor;
+use kg_eval::sharded::{replay_dense, replay_hash, ShardDesign, DEFAULT_SHARD_UNITS};
 use kg_sampling::PopulationIndex;
 use std::sync::Arc;
 
 /// Run the experiment: both designs × both engines over two synthetic
-/// scales, replayed with the default shard-worker resolution.
+/// scales, replayed with the default worker resolution.
 pub fn run(opts: &Opts) -> String {
     let scales: &[(u64, u64)] = if opts.quick {
         // (target triples, visits per replay)
@@ -28,7 +29,7 @@ pub fn run(opts: &Opts) -> String {
     } else {
         &[(200_000, 6_000), (2_000_000, 12_000)]
     };
-    let replay = ShardedReplay::new();
+    let exec = TrialExecutor::new();
     let mut table = TextTable::new(vec![
         "scale",
         "design",
@@ -50,7 +51,8 @@ pub fn run(opts: &Opts) -> String {
         for design in [ShardDesign::FullCluster, ShardDesign::TwoStage { m: 5 }] {
             for engine in ["hash", "dense"] {
                 let r = match engine {
-                    "hash" => replay.replay_hash(
+                    "hash" => replay_hash(
+                        &exec,
                         design,
                         &idx,
                         &oracle,
@@ -58,7 +60,7 @@ pub fn run(opts: &Opts) -> String {
                         units,
                         opts.seed ^ 0x51AD,
                     ),
-                    _ => replay.replay_dense(design, &idx, &pool, units, opts.seed ^ 0x51AD),
+                    _ => replay_dense(&exec, design, &idx, &pool, units, opts.seed ^ 0x51AD),
                 };
                 table.row(vec![
                     format!("{target}"),
@@ -81,7 +83,7 @@ pub fn run(opts: &Opts) -> String {
     }
     format!(
         "sharded replay determinism dump (shard_units {}; results must be \
-         byte-identical at any KG_EVAL_SHARDS)\n{}",
+         byte-identical at any KG_EVAL_WORKERS)\n{}",
         DEFAULT_SHARD_UNITS,
         table.render()
     )

@@ -12,7 +12,7 @@
 
 use crate::dynamic::IncrementalEvaluator;
 use crate::executor::TrialExecutor;
-use crate::sharded::{ShardDesign, ShardReplayReport, ShardedReplay};
+use crate::sharded::{replay_hash, ShardDesign, ShardReplayReport};
 use kg_annotate::annotator::Annotator;
 use kg_annotate::cost::CostModel;
 use kg_annotate::oracle::LabelOracle;
@@ -130,19 +130,20 @@ fn record_outcomes<T>(
 /// stream; their estimates track the stream cheaply but at reservoir
 /// fidelity. When a checkpoint needs a *full-fidelity* snapshot estimate —
 /// an audit between batches — that is one large replay, exactly the shape
-/// intra-trial sharding accelerates. Latency scales with the shard-worker
-/// count while the report stays bitwise invariant to it.
+/// intra-trial sharding accelerates. `exec` fans the shards out: latency
+/// scales with its worker count while the report stays bitwise invariant
+/// to it.
 pub fn audit_sharded<P: ClusterPopulation + ?Sized>(
     pop: &P,
     design: ShardDesign,
     oracle: &dyn LabelOracle,
     cost: CostModel,
-    replay: &ShardedReplay,
+    exec: &TrialExecutor,
     units: u64,
     seed: u64,
 ) -> Result<ShardReplayReport, StatsError> {
     let index = PopulationIndex::from_population(pop)?;
-    Ok(replay.replay_hash(design, &index, oracle, cost, units, seed))
+    Ok(replay_hash(exec, design, &index, oracle, cost, units, seed))
 }
 
 /// Trial-aggregated outcome of one update batch position, from
@@ -502,7 +503,7 @@ mod tests {
                 ShardDesign::TwoStage { m: 4 },
                 &oracle,
                 CostModel::default(),
-                &ShardedReplay::new().with_shard_workers(workers),
+                &TrialExecutor::new().with_workers(workers),
                 1200,
                 0xA0D1,
             )

@@ -1,5 +1,5 @@
-//! The parallel trial runtime: thread-count-invariant repeated-trial
-//! execution for every evaluator in the workspace.
+//! The parallel runtime: thread-count-invariant fan-out for every
+//! evaluator in the workspace, across trials and within one.
 //!
 //! Experiments repeat each configuration over many seeded trials and
 //! report mean ± standard deviation (§7.1.5). The old `kg-bench` runner
@@ -14,18 +14,23 @@
 //!   `(base_seed, i)`, never on which worker ran it or when. (`StdRng`
 //!   expands the `u64` through SplitMix64, so adjacent counters yield
 //!   decorrelated streams.)
-//! * **Work-stealing sharding** — workers claim trial indices from an
-//!   atomic cursor, so a straggler trial never idles the other cores; the
-//!   schedule is free to be nondeterministic because no result depends on
-//!   it.
-//! * **Fixed-shape reduction** — per-trial metric vectors are merged with
-//!   a binary tree over the *trial index* whose shape depends only on the
-//!   trial count. Aggregation is therefore **bitwise identical** at 1, 2,
-//!   4, or N workers (regression-tested at forced worker counts 1 vs 7).
-//! * **Leased per-worker state** — [`TrialExecutor::run_with`] gives every
-//!   worker one long-lived context (e.g. a checked-out
-//!   `kg_annotate::lease::DenseArenaPool` arena) reused across all trials
-//!   the worker claims, so arenas stop being rebuilt per trial.
+//! * **Work-stealing sharding** — workers claim indices from an atomic
+//!   cursor, so a straggler never idles the other cores; the schedule is
+//!   free to be nondeterministic because no result depends on it.
+//!   [`TrialExecutor::map_with`] hands results back in index order.
+//! * **Fixed-shape reduction** — [`tree_merge`] merges per-index results
+//!   with a binary tree whose shape depends only on the item count.
+//!   Aggregation is therefore **bitwise identical** at 1, 2, 4, or N
+//!   workers (regression-tested at forced worker counts 1 vs 7).
+//! * **Leased per-worker state** — [`TrialExecutor::run_with`] and
+//!   [`TrialExecutor::map_with`] give every worker one long-lived context
+//!   (e.g. a checked-out `kg_annotate::lease::DenseArenaPool` arena)
+//!   reused across all the indices the worker claims, so arenas stop being
+//!   rebuilt per trial.
+//!
+//! The same map and merge fan out one trial's sharded replay
+//! ([`crate::sharded`]) over shard indices, keyed by [`shard_seed`], so
+//! there is one worker pool and one worker knob for both levels.
 //!
 //! Worker-count resolution: an explicit [`TrialExecutor::with_workers`]
 //! override wins, else the `KG_EVAL_WORKERS` environment variable (a
@@ -40,13 +45,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Environment variable capping the default worker count (a positive
 /// integer). Ignored when [`TrialExecutor::with_workers`] is set.
 pub const ENV_WORKERS: &str = "KG_EVAL_WORKERS";
-
-/// Environment variable capping the default **intra-trial shard worker**
-/// count used by [`sharded replay`](crate::sharded) (a positive integer).
-/// Ignored when `ShardedReplay::with_shard_workers` is set. Because the
-/// shard *partition* is fixed and only the claiming thread count varies,
-/// results are bitwise invariant to this setting.
-pub const ENV_SHARDS: &str = "KG_EVAL_SHARDS";
 
 /// The seed handed to trial `trial` of a run with `base_seed`: the plain
 /// counter stream `base_seed + trial` (wrapping). Every consumer builds
@@ -164,58 +162,81 @@ impl TrialExecutor {
         I: Fn() -> C + Sync,
         F: Fn(&mut C, u64) -> Vec<f64> + Sync,
     {
-        if trials == 0 {
-            return vec![RunningMoments::new(); metrics];
+        let leaves = self.map_with(trials, init, |ctx, t| {
+            checked(f(ctx, trial_seed(base_seed, t)), metrics, t)
+                .into_iter()
+                .map(|v| RunningMoments::from_slice(&[v]))
+                .collect::<Vec<_>>()
+        });
+        tree_merge(leaves, |left, right| {
+            for (l, r) in left.iter_mut().zip(&right) {
+                l.merge(r);
+            }
+        })
+        .unwrap_or_else(|| vec![RunningMoments::new(); metrics])
+    }
+
+    /// Ordered parallel map: `f(ctx, i)` for every `i` in `0..count`,
+    /// returned in index order whatever the schedule. Workers claim
+    /// indices from an atomic cursor, and `init` builds one context per
+    /// worker, as in [`TrialExecutor::run_with`].
+    ///
+    /// `count == 0` returns an empty vector without calling `init`, and a
+    /// run capped at one worker (by the executor or by `count`) runs
+    /// inline on the calling thread. The output is sized by `count`, so
+    /// callers facing untrusted input must bound it.
+    pub fn map_with<C, T, I, F>(&self, count: u64, init: I, f: F) -> Vec<T>
+    where
+        T: Send,
+        I: Fn() -> C + Sync,
+        F: Fn(&mut C, u64) -> T + Sync,
+    {
+        if count == 0 {
+            return Vec::new();
         }
         let workers = self
             .workers()
-            .min(usize::try_from(trials).unwrap_or(usize::MAX));
-        let outputs: Vec<Vec<f64>> = if workers <= 1 {
+            .min(usize::try_from(count).unwrap_or(usize::MAX));
+        if workers <= 1 {
             let mut ctx = init();
-            (0..trials)
-                .map(|t| checked(f(&mut ctx, trial_seed(base_seed, t)), metrics, t))
-                .collect()
-        } else {
-            let cursor = AtomicU64::new(0);
-            let parts: Vec<Vec<(u64, Vec<f64>)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (cursor, init, f) = (&cursor, &init, &f);
-                        scope.spawn(move || {
-                            let mut ctx = init();
-                            let mut done = Vec::new();
-                            loop {
-                                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                                if t >= trials {
-                                    break;
-                                }
-                                let out =
-                                    checked(f(&mut ctx, trial_seed(base_seed, t)), metrics, t);
-                                done.push((t, out));
+            return (0..count).map(|i| f(&mut ctx, i)).collect();
+        }
+        let cursor = AtomicU64::new(0);
+        let parts: Vec<Vec<(u64, T)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (cursor, init, f) = (&cursor, &init, &f);
+                    scope.spawn(move || {
+                        let mut ctx = init();
+                        let mut done = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= count {
+                                break;
                             }
-                            done
-                        })
+                            done.push((i, f(&mut ctx, i)));
+                        }
+                        done
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            // Reassemble in trial order; the schedule's nondeterminism
-            // ends here.
-            let mut slots: Vec<Option<Vec<f64>>> = Vec::new();
-            slots.resize_with(trials as usize, || None);
-            for (t, out) in parts.into_iter().flatten() {
-                slots[t as usize] = Some(out);
-            }
-            slots
+                })
+                .collect();
+            handles
                 .into_iter()
-                .enumerate()
-                .map(|(t, s)| s.unwrap_or_else(|| panic!("trial {t} was never executed")))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
-        };
-        tree_reduce(outputs, metrics)
+        });
+        // Reassemble in index order; the schedule's nondeterminism ends
+        // here.
+        let mut slots: Vec<Option<T>> = Vec::new();
+        slots.resize_with(count as usize, || None);
+        for (i, out) in parts.into_iter().flatten() {
+            slots[i as usize] = Some(out);
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| s.unwrap_or_else(|| panic!("index {i} was never executed")))
+            .collect()
     }
 }
 
@@ -240,36 +261,26 @@ fn checked(out: Vec<f64>, metrics: usize, trial: u64) -> Vec<f64> {
     out
 }
 
-/// Merge per-trial metric vectors with a binary tree over the trial index.
-/// The shape depends only on the leaf count, so the float result is a pure
-/// function of the trial outputs — pairwise merging also keeps the Chan
-/// et al. combination numerically tighter than a long sequential fold.
-fn tree_reduce(outputs: Vec<Vec<f64>>, metrics: usize) -> Vec<RunningMoments> {
-    if outputs.is_empty() {
-        return vec![RunningMoments::new(); metrics];
-    }
-    let mut level: Vec<Vec<RunningMoments>> = outputs
-        .into_iter()
-        .map(|vals| {
-            vals.into_iter()
-                .map(|v| RunningMoments::from_slice(&[v]))
-                .collect()
-        })
-        .collect();
+/// Merge `items` pairwise with a binary tree over their index: each level
+/// merges node `2k + 1` into node `2k`, and an odd last node passes up
+/// unmerged. The shape depends only on `items.len()`, so a float result
+/// is a pure function of the items — pairwise merging also keeps the Chan
+/// et al. moment combination numerically tighter than a long sequential
+/// fold. `None` when `items` is empty.
+pub fn tree_merge<T>(items: Vec<T>, mut merge: impl FnMut(&mut T, T)) -> Option<T> {
+    let mut level = items;
     while level.len() > 1 {
         let mut next = Vec::with_capacity(level.len().div_ceil(2));
         let mut nodes = level.into_iter();
         while let Some(mut left) = nodes.next() {
             if let Some(right) = nodes.next() {
-                for (l, r) in left.iter_mut().zip(&right) {
-                    l.merge(r);
-                }
+                merge(&mut left, right);
             }
             next.push(left);
         }
         level = next;
     }
-    level.pop().expect("non-empty level")
+    level.pop()
 }
 
 #[cfg(test)]
@@ -376,6 +387,17 @@ mod tests {
             )
         };
         assert_eq!(bits(&run(1)), bits(&run(5)));
+    }
+
+    #[test]
+    fn map_with_returns_index_order_at_any_worker_count() {
+        for workers in [1, 3, 8] {
+            let exec = TrialExecutor::new().with_workers(workers);
+            let out = exec.map_with(50, || (), |(), i| i * i);
+            assert_eq!(out, (0..50).map(|i| i * i).collect::<Vec<_>>());
+            let none: Vec<u64> = exec.map_with(0, || panic!("no init for no work"), |(), i| i);
+            assert!(none.is_empty());
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   (static, granular, RS/SS replays, the benchmark harnesses) runs on
 //!   it.
 //! * [`sharded`] — intra-trial sharded replay: one trial's cluster walk
-//!   partitioned into fixed shards with counter-based shard substreams and
-//!   a fixed-shape merge, bitwise identical at any shard-worker count
-//!   (`KG_EVAL_SHARDS`).
+//!   partitioned into fixed shards with counter-based shard substreams,
+//!   fanned out on the same [`executor::TrialExecutor`] and merged in the
+//!   same fixed shape, bitwise identical at any worker count.
 //! * [`dynamic`] — evolving-KG evaluation (§6): reservoir incremental
 //!   evaluation (Algorithm 1) and stratified incremental evaluation
 //!   (Algorithm 2), plus a monitor driving either over a sequence of
@@ -48,5 +48,5 @@ pub use executor::TrialExecutor;
 pub use framework::Evaluator;
 pub use report::EvaluationReport;
 pub use session::{EstimateReport, SessionRegistry, SessionSpec};
-pub use sharded::{ShardDesign, ShardReplayReport, ShardedReplay};
+pub use sharded::{ShardDesign, ShardReplayReport};
 pub use spill::CheckpointStore;

@@ -83,7 +83,7 @@ use crate::dynamic::stratified::StratifiedIncremental;
 use crate::dynamic::IncrementalEvaluator;
 use crate::executor::TrialExecutor;
 use crate::framework::Evaluator;
-use crate::sharded::{ShardDesign, ShardReplayReport, ShardedReplay};
+use crate::sharded::{ShardDesign, ShardReplayReport};
 use crate::spill::{CheckpointStore, SpillError};
 use kg_annotate::annotator::Annotator;
 use kg_annotate::cost::CostModel;
@@ -116,6 +116,12 @@ const TAG_STRATIFIED: u8 = 1;
 /// The reserved v1 spec bytes (see the module docs): what encoders write,
 /// and the decode label of each.
 const RESERVED: [(u8, &str); 2] = [(0, "session.engine tag"), (1, "session.offer_mode tag")];
+
+/// Most cluster visits one [`SessionRegistry::audit`] may walk: 2^20, i.e.
+/// 4,096 shards. A replay sizes its per-shard results by the shard count,
+/// so an unbounded request could ask for more memory than the host has,
+/// and a failed allocation aborts the whole process.
+pub const MAX_AUDIT_UNITS: u64 = 1 << 20;
 
 /// Which incremental evaluator a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,6 +198,8 @@ pub enum SessionError {
     NoStore,
     /// The spill layer failed (missing record, filesystem error).
     Spill(SpillError),
+    /// An audit asked for more than [`MAX_AUDIT_UNITS`] cluster visits.
+    AuditTooLarge(u64),
 }
 
 impl fmt::Display for SessionError {
@@ -205,6 +213,12 @@ impl fmt::Display for SessionError {
             SessionError::Kg(e) => write!(f, "population: {e}"),
             SessionError::NoStore => write!(f, "registry has no checkpoint store"),
             SessionError::Spill(e) => write!(f, "spill: {e}"),
+            SessionError::AuditTooLarge(units) => {
+                write!(
+                    f,
+                    "audit of {units} units exceeds the cap of {MAX_AUDIT_UNITS}"
+                )
+            }
         }
     }
 }
@@ -1376,10 +1390,14 @@ impl SessionRegistry {
     /// in, so the audit measures exactly the live-view quantity the
     /// monitor estimate tracks. Live sample coordinates are mapped back to
     /// raw storage offsets through the same [`map_live_offset`] walk the
-    /// annotation engines use. Shard parallelism follows the registry
-    /// executor's worker budget, and the report is bitwise invariant to
-    /// it.
+    /// annotation engines use. The shards fan out on the registry's
+    /// executor, and the report is bitwise invariant to its worker count.
+    /// More than [`MAX_AUDIT_UNITS`] visits is
+    /// [`SessionError::AuditTooLarge`].
     pub fn audit(&self, id: u64, units: u64, seed: u64) -> Result<ShardReplayReport, SessionError> {
+        if units > MAX_AUDIT_UNITS {
+            return Err(SessionError::AuditTooLarge(units));
+        }
         let guard = self.acquire(id)?;
         let session = guard.session.lock().unwrap();
         let view = session.live_view();
@@ -1392,13 +1410,12 @@ impl SessionRegistry {
         drop(session);
         drop(guard);
         let population = ImplicitKg::new(view.sizes)?;
-        let replay = ShardedReplay::new().with_shard_workers(self.executor.workers().max(1));
         let report = audit_sharded(
             &population,
             ShardDesign::TwoStage { m },
             &oracle,
             CostModel::default(),
-            &replay,
+            &self.executor,
             units,
             seed,
         )?;
@@ -1654,6 +1671,24 @@ mod tests {
             rb.estimate.var_of_mean.to_bits()
         );
         assert_eq!(ra.labeled, rb.labeled);
+    }
+
+    #[test]
+    fn oversized_audit_is_a_typed_error_and_the_session_keeps_serving() {
+        // 2^40 visits would size a 2^32-entry shard vector (a 256 GiB
+        // allocation, which aborts rather than panics); the cap refuses
+        // before any work.
+        let registry = SessionRegistry::with_executor(TrialExecutor::new().with_workers(2));
+        let id = registry.register(rs_spec()).unwrap();
+        for units in [1u64 << 40, MAX_AUDIT_UNITS + 1, u64::MAX] {
+            match registry.audit(id, units, 3) {
+                Err(SessionError::AuditTooLarge(got)) => assert_eq!(got, units),
+                other => panic!("{units} units: {other:?}"),
+            }
+        }
+        let report = registry.audit(id, 300, 3).unwrap();
+        assert_eq!((report.units, report.shards), (300, 2));
+        registry.estimate(id).unwrap();
     }
 
     #[test]

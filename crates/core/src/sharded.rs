@@ -1,6 +1,6 @@
 //! Intra-trial sharded replay: one trial's cluster walk partitioned into
 //! fixed shards and fanned out across workers, bitwise identical at any
-//! shard-worker count.
+//! worker count.
 //!
 //! [`crate::executor::TrialExecutor`] parallelizes *across* trials; a
 //! single 10^7-triple replay still ran on one core, and single-replay
@@ -8,29 +8,32 @@
 //! same invariance recipe one level down, into the trial itself:
 //!
 //! * **Fixed shard partition** — a replay of `units` cluster visits is cut
-//!   into `units.div_ceil(DEFAULT_SHARD_UNITS)` shards of
-//!   [`DEFAULT_SHARD_UNITS`] visits each. The partition is a pure function
-//!   of `units`; [`ShardedReplay::with_shard_workers`] (and the
-//!   `KG_EVAL_SHARDS` environment variable) only choose how many threads
-//!   *claim* those shards. Results are therefore invariant to the worker
-//!   count **by construction** — the same split PR 4 made between trial
+//!   into [`num_shards`]`(units)` shards of [`DEFAULT_SHARD_UNITS`] visits
+//!   each. The partition is a pure function of `units`; the caller's
+//!   [`TrialExecutor`] only chooses how many threads *claim* those shards.
+//!   Results are therefore invariant to the worker count **by
+//!   construction** — the same split the executor makes between trial
 //!   count and `KG_EVAL_WORKERS`.
 //! * **Counter-based shard substreams** — shard `s` draws from
 //!   [`crate::executor::shard_seed`]`(trial_seed, s)`; what a shard
 //!   computes depends only on `(trial_seed, s)`, never on which worker ran
 //!   it or when.
 //! * **Shard-local annotation scratch** — each worker leases one arena
-//!   ([`DenseArenaPool::checkout_many`] — one lock acquisition for the
-//!   whole worker set) or builds one hash annotator, reset at every shard
-//!   boundary so a shard's memo state is self-contained.
+//!   through [`DenseArenaPool::checkout`] or builds one hash annotator per
+//!   shard; a leased arena is reset at every shard boundary, so a shard's
+//!   memo state is self-contained.
 //! * **Fixed-shape tree reduction** — per-shard aggregates (accuracy
-//!   moments, labeled / correct / entity counts, cost seconds) merge
-//!   pairwise over the *shard index*, fixing the float summation order
-//!   regardless of completion schedule.
+//!   moments, labeled / correct / entity counts, cost seconds) merge with
+//!   [`tree_merge`] over the *shard index*, fixing the float summation
+//!   order regardless of completion schedule.
+//!
+//! The fan-out is [`TrialExecutor::map_with`] over shard indices — the
+//! runtime that runs trials — so a sharded replay needs no thread pool or
+//! worker setting of its own.
 //!
 //! # The one-time stream change
 //!
-//! Exactly as PR 4 re-keyed per-trial streams once to make them
+//! Exactly as the executor re-keyed per-trial streams once to make them
 //! schedule-free, sharded replay is a **different stream** from the
 //! unsharded adaptive loop — and then frozen. Two deliberate differences:
 //!
@@ -41,7 +44,7 @@
 //!    computed once at the end. Shard 0 of a 1-shard replay consumes the
 //!    seed stream `shard_seed(trial_seed, 0) == trial_seed`, but the walk
 //!    is batched differently from the adaptive loop, so numbers are not
-//!    comparable across the two entry points — only across shard-worker
+//!    comparable across the two entry points — only across worker
 //!    counts within this one.
 //! 2. Annotation memoization is **scoped to the shard**: a cluster visited
 //!    by two shards is annotated (and charged) by both. The `labeled` /
@@ -51,7 +54,7 @@
 //!    distinct-annotation cost. The estimator itself is unaffected:
 //!    accuracy draws depend only on labels, not on memo hits.
 
-use crate::executor::{shard_seed, ENV_SHARDS};
+use crate::executor::{shard_seed, tree_merge, TrialExecutor};
 use kg_annotate::annotator::{Annotator, SimulatedAnnotator};
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
@@ -63,8 +66,6 @@ use kg_stats::srswor::sample_without_replacement_into;
 use kg_stats::{PointEstimate, RunningMoments};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The shardable subset of [`Design`]: designs whose draw loop is a flat
 /// sequence of independent PPS cluster visits. The adaptive /
@@ -104,172 +105,61 @@ impl ShardDesign {
     }
 }
 
-/// Configuration for a sharded replay: how many workers claim the fixed
-/// [`DEFAULT_SHARD_UNITS`]-visit shards.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardedReplay {
-    shard_workers: Option<NonZeroUsize>,
-}
-
 /// Cluster visits per shard. Part of the stream contract: changing it
 /// re-keys every shard substream past the first.
 pub const DEFAULT_SHARD_UNITS: usize = 256;
 
-impl ShardedReplay {
-    /// Replay with the default worker resolution (`KG_EVAL_SHARDS`, else
-    /// available parallelism).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Force an exact shard-worker count (≥ 1), overriding the
-    /// environment. Results are bitwise identical for every choice; this
-    /// exists for regression tests and scaling benchmarks.
-    pub fn with_shard_workers(mut self, workers: usize) -> Self {
-        self.shard_workers =
-            Some(NonZeroUsize::new(workers).expect("shard worker count must be at least 1"));
-        self
-    }
-
-    /// The shard-worker count this replay resolves to right now (before
-    /// the per-run cap at the shard count).
-    pub fn shard_workers(&self) -> usize {
-        if let Some(n) = self.shard_workers {
-            return n.get();
-        }
-        if let Ok(v) = std::env::var(ENV_SHARDS) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// How many shards a replay of `units` visits splits into.
-    pub fn num_shards(&self, units: u64) -> u64 {
-        units.div_ceil(DEFAULT_SHARD_UNITS as u64)
-    }
-
-    /// Sharded replay on the hash engine: each worker owns one
-    /// [`SimulatedAnnotator`], rebuilt at every shard boundary.
-    pub fn replay_hash(
-        &self,
-        design: ShardDesign,
-        index: &PopulationIndex,
-        oracle: &dyn LabelOracle,
-        cost: CostModel,
-        units: u64,
-        trial_seed: u64,
-    ) -> ShardReplayReport {
-        let workers = self.resolved_workers(units);
-        let ctxs: Vec<SimulatedAnnotator> = (0..workers)
-            .map(|_| SimulatedAnnotator::new(oracle, cost))
-            .collect();
-        self.replay_core(design, index, units, trial_seed, ctxs, |a| {
-            *a = SimulatedAnnotator::new(oracle, cost);
-            a
-        })
-    }
-
-    /// Sharded replay on the dense engine: one arena per worker, all
-    /// leased from `pool` in a single lock acquisition, reset at every
-    /// shard boundary. Byte-identical to [`ShardedReplay::replay_hash`]
-    /// with the matching oracle and cost model.
-    pub fn replay_dense(
-        &self,
-        design: ShardDesign,
-        index: &PopulationIndex,
-        pool: &DenseArenaPool,
-        units: u64,
-        trial_seed: u64,
-    ) -> ShardReplayReport {
-        let workers = self.resolved_workers(units);
-        let ctxs = pool.checkout_many(workers);
-        self.replay_core(design, index, units, trial_seed, ctxs, |lease| {
-            lease.reset();
-            lease.arena_mut()
-        })
-    }
-
-    fn resolved_workers(&self, units: u64) -> usize {
-        self.shard_workers()
-            .min(usize::try_from(self.num_shards(units)).unwrap_or(usize::MAX))
-            .max(1)
-    }
-
-    /// Engine-generic core: `ctxs` holds one annotation context per
-    /// worker; `prep` readies a context for a fresh shard (reset or
-    /// rebuild) and hands back its engine. Shards are claimed from an
-    /// atomic cursor — the schedule is free to be nondeterministic because
-    /// every shard is a pure function of `(trial_seed, shard)` and the
-    /// merge is a fixed-shape tree over the shard index.
-    fn replay_core<C: Send>(
-        &self,
-        design: ShardDesign,
-        index: &PopulationIndex,
-        units: u64,
-        trial_seed: u64,
-        mut ctxs: Vec<C>,
-        prep: impl for<'c> Fn(&'c mut C) -> &'c mut (dyn Annotator + 'c) + Sync,
-    ) -> ShardReplayReport {
-        let shards = self.num_shards(units);
-        let parts: Vec<ShardPart> = if ctxs.len() <= 1 && shards <= 1 {
-            if units == 0 {
-                Vec::new()
-            } else {
-                let ctx = ctxs.first_mut().expect("resolved_workers is at least 1");
-                vec![run_shard(design, index, units, trial_seed, 0, prep(ctx))]
-            }
-        } else {
-            let cursor = AtomicU64::new(0);
-            let mut slots: Vec<Option<ShardPart>> = Vec::new();
-            slots.resize_with(shards as usize, || None);
-            let collected: Vec<Vec<(u64, ShardPart)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ctxs
-                    .iter_mut()
-                    .map(|ctx| {
-                        let (cursor, prep) = (&cursor, &prep);
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let s = cursor.fetch_add(1, Ordering::Relaxed);
-                                if s >= shards {
-                                    break;
-                                }
-                                let part =
-                                    run_shard(design, index, units, trial_seed, s, prep(ctx));
-                                done.push((s, part));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            // Reassemble in shard order; the schedule's nondeterminism
-            // ends here.
-            for (s, part) in collected.into_iter().flatten() {
-                slots[s as usize] = Some(part);
-            }
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(s, p)| p.unwrap_or_else(|| panic!("shard {s} was never executed")))
-                .collect()
-        };
-        let merged = tree_merge(parts);
-        ShardReplayReport::from_merged(design, units, shards, merged)
-    }
+/// How many shards a replay of `units` visits splits into.
+pub fn num_shards(units: u64) -> u64 {
+    units.div_ceil(DEFAULT_SHARD_UNITS as u64)
 }
 
-/// Aggregates of one shard's walk; merged pairwise in shard-index order.
+/// Sharded replay on the hash engine: every shard walks on a fresh
+/// [`SimulatedAnnotator`], and `exec` fans the shards out.
+pub fn replay_hash(
+    exec: &TrialExecutor,
+    design: ShardDesign,
+    index: &PopulationIndex,
+    oracle: &dyn LabelOracle,
+    cost: CostModel,
+    units: u64,
+    trial_seed: u64,
+) -> ShardReplayReport {
+    let parts = exec.map_with(
+        num_shards(units),
+        || (),
+        |(), shard| {
+            let mut annotator = SimulatedAnnotator::new(oracle, cost);
+            run_shard(design, index, units, trial_seed, shard, &mut annotator)
+        },
+    );
+    ShardReplayReport::from_parts(design, units, parts)
+}
+
+/// Sharded replay on the dense engine: each worker leases one arena from
+/// `pool` and resets it at every shard boundary. Byte-identical to
+/// [`replay_hash`] with the matching oracle and cost model.
+pub fn replay_dense(
+    exec: &TrialExecutor,
+    design: ShardDesign,
+    index: &PopulationIndex,
+    pool: &DenseArenaPool,
+    units: u64,
+    trial_seed: u64,
+) -> ShardReplayReport {
+    let parts = exec.map_with(
+        num_shards(units),
+        || pool.checkout(),
+        |lease, shard| {
+            lease.reset();
+            run_shard(design, index, units, trial_seed, shard, lease.arena_mut())
+        },
+    );
+    ShardReplayReport::from_parts(design, units, parts)
+}
+
+/// Aggregates of one shard's walk; merged with [`tree_merge`] in
+/// shard-index order.
 #[derive(Debug, Clone, Default)]
 struct ShardPart {
     accuracies: RunningMoments,
@@ -341,30 +231,8 @@ fn run_shard(
     part
 }
 
-/// Pairwise tree merge over the shard index — the same fixed-shape
-/// reduction [`crate::executor`] uses over trials, so the float summation
-/// order is a pure function of the shard count.
-fn tree_merge(parts: Vec<ShardPart>) -> ShardPart {
-    if parts.is_empty() {
-        return ShardPart::default();
-    }
-    let mut level = parts;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut nodes = level.into_iter();
-        while let Some(mut left) = nodes.next() {
-            if let Some(right) = nodes.next() {
-                left.merge(&right);
-            }
-            next.push(left);
-        }
-        level = next;
-    }
-    level.pop().expect("non-empty level")
-}
-
 /// The outcome of one sharded replay. All fields are bitwise invariant to
-/// the shard-worker count; see the module docs for how `labeled` /
+/// the worker count; see the module docs for how `labeled` /
 /// `entities` / `cost_seconds` relate to the unsharded path.
 #[derive(Debug, Clone)]
 pub struct ShardReplayReport {
@@ -392,7 +260,9 @@ pub struct ShardReplayReport {
 }
 
 impl ShardReplayReport {
-    fn from_merged(design: ShardDesign, units: u64, shards: u64, merged: ShardPart) -> Self {
+    fn from_parts(design: ShardDesign, units: u64, parts: Vec<ShardPart>) -> Self {
+        let shards = parts.len() as u64;
+        let merged = tree_merge(parts, |left, right| left.merge(&right)).unwrap_or_default();
         let n = merged.accuracies.count() as usize;
         let estimate = if n == 0 {
             PointEstimate::uninformative()
@@ -466,7 +336,8 @@ mod tests {
         let store = Arc::new(idx.materialize_labels(&oracle));
         let pool = DenseArenaPool::new(store, CostModel::default());
         for design in [ShardDesign::FullCluster, ShardDesign::TwoStage { m: 4 }] {
-            let reference = ShardedReplay::new().with_shard_workers(1).replay_hash(
+            let reference = replay_hash(
+                &TrialExecutor::new().with_workers(1),
                 design,
                 &idx,
                 &oracle,
@@ -478,10 +349,17 @@ mod tests {
             assert_eq!(reference.shards, 4); // 1000 visits / 256 per shard
             assert_eq!(reference.accuracies.count(), 1000);
             for workers in [2, 3, 7, 16] {
-                let replay = ShardedReplay::new().with_shard_workers(workers);
-                let hash =
-                    replay.replay_hash(design, &idx, &oracle, CostModel::default(), 1000, 0xFEED);
-                let dense = replay.replay_dense(design, &idx, &pool, 1000, 0xFEED);
+                let exec = TrialExecutor::new().with_workers(workers);
+                let hash = replay_hash(
+                    &exec,
+                    design,
+                    &idx,
+                    &oracle,
+                    CostModel::default(),
+                    1000,
+                    0xFEED,
+                );
+                let dense = replay_dense(&exec, design, &idx, &pool, 1000, 0xFEED);
                 assert_eq!(
                     report_bits(&reference),
                     report_bits(&hash),
@@ -502,7 +380,8 @@ mod tests {
     fn estimates_are_statistically_sane() {
         let (kg, oracle, idx) = setup();
         let truth = true_accuracy(&kg, &oracle);
-        let r = ShardedReplay::new().with_shard_workers(3).replay_hash(
+        let r = replay_hash(
+            &TrialExecutor::new().with_workers(3),
             ShardDesign::FullCluster,
             &idx,
             &oracle,
@@ -523,15 +402,15 @@ mod tests {
 
     #[test]
     fn shard_units_partitions_the_walk() {
-        let replay = ShardedReplay::new();
         let units = DEFAULT_SHARD_UNITS as u64;
-        assert_eq!(replay.num_shards(10 * units), 10);
-        assert_eq!(replay.num_shards(10 * units + 1), 11);
-        assert_eq!(replay.num_shards(0), 0);
+        assert_eq!(num_shards(10 * units), 10);
+        assert_eq!(num_shards(10 * units + 1), 11);
+        assert_eq!(num_shards(0), 0);
         // A replay that spans several shards reports the fixed shard size
         // and the partition it implies.
         let (_, oracle, idx) = setup();
-        let r = replay.with_shard_workers(1).replay_hash(
+        let r = replay_hash(
+            &TrialExecutor::new().with_workers(1),
             ShardDesign::TwoStage { m: 3 },
             &idx,
             &oracle,
@@ -547,7 +426,8 @@ mod tests {
     #[test]
     fn zero_units_is_total_and_uninformative() {
         let (_, oracle, idx) = setup();
-        let r = ShardedReplay::new().with_shard_workers(4).replay_hash(
+        let r = replay_hash(
+            &TrialExecutor::new().with_workers(4),
             ShardDesign::FullCluster,
             &idx,
             &oracle,
@@ -575,31 +455,5 @@ mod tests {
         assert_eq!(ShardDesign::from_design(&Design::Srs), None);
         assert_eq!(ShardDesign::from_design(&Design::Rcs), None);
         assert_eq!(ShardDesign::from_design(&Design::TsRcs { m: 2 }), None);
-    }
-
-    #[test]
-    fn env_var_caps_default_shard_workers() {
-        // Only this test touches KG_EVAL_SHARDS; results are invariant to
-        // the resolved count anyway.
-        std::env::set_var(ENV_SHARDS, "3");
-        assert_eq!(ShardedReplay::new().shard_workers(), 3);
-        std::env::set_var(ENV_SHARDS, "zero?");
-        let fallback = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(ShardedReplay::new().shard_workers(), fallback);
-        std::env::set_var(ENV_SHARDS, "5");
-        assert_eq!(
-            ShardedReplay::new().with_shard_workers(2).shard_workers(),
-            2
-        );
-        std::env::remove_var(ENV_SHARDS);
-        assert_eq!(ShardedReplay::new().shard_workers(), fallback);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_shard_workers_rejected() {
-        let _ = ShardedReplay::new().with_shard_workers(0);
     }
 }

@@ -8,7 +8,7 @@
 //! | `POST /kg/{id}/events` | Apply interleaved insert/retract/revise events |
 //! | `GET /kg/{id}/estimate` | Live accuracy estimate + MoE |
 //! | `POST /kg/{id}/checkpoint` | Serialize the session (`KGSN` v1, hex) |
-//! | `GET /kg/{id}/audit?units=&seed=` | Full-fidelity sharded audit |
+//! | `GET /kg/{id}/audit?units=&seed=` | Full-fidelity sharded audit of the live population; `units` defaults to 600 and is capped at [`MAX_AUDIT_UNITS`](kg_eval::session::MAX_AUDIT_UNITS) (2^20), `seed` defaults to 0; an unparsable or over-cap value is 400 |
 //! | `GET /healthz` | Liveness |
 //!
 //! The server layer (`crate::Server`) additionally answers
@@ -323,14 +323,16 @@ pub fn handle(registry: &SessionRegistry, req: &Request) -> (u16, Json) {
                     Err(e) => (status_of_session_op(&e), err_json(e.to_string())),
                 },
                 ("GET", "audit") => {
-                    let units = req
-                        .query_value("units")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .unwrap_or(600);
-                    let seed = req
-                        .query_value("seed")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .unwrap_or(0);
+                    let query = |name: &str, default: u64| match req.query_value(name) {
+                        None => Ok(default),
+                        Some(v) => v
+                            .parse::<u64>()
+                            .map_err(|_| format!("{name} must be an unsigned integer")),
+                    };
+                    let (units, seed) = match (query("units", 600), query("seed", 0)) {
+                        (Ok(units), Ok(seed)) => (units, seed),
+                        (Err(e), _) | (_, Err(e)) => return (400, err_json(e)),
+                    };
                     match registry.audit(id, units, seed) {
                         Ok(report) => (200, audit_json(&report)),
                         Err(e) => (status_of_session_op(&e), err_json(e.to_string())),
@@ -494,6 +496,21 @@ mod tests {
         );
         assert_eq!(status, 200, "{audit}");
         assert_eq!(audit.get("units").unwrap().as_u64(), Some(200));
+        // Unparsable or over-cap parameters are the client's error, not a
+        // silent default and not an allocation.
+        for query in [
+            "units=abc",
+            "units=-1",
+            "seed=0x10",
+            "units=1099511627776",
+            "units=1048577",
+        ] {
+            let (status, body) = handle(
+                &registry,
+                &request("GET", &format!("/kg/{id}/audit?{query}"), ""),
+            );
+            assert_eq!(status, 400, "{query}: {body}");
+        }
     }
 
     #[test]

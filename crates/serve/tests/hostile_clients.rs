@@ -186,6 +186,30 @@ fn hostile_clients_are_bounded_and_do_not_wedge_the_server() {
 }
 
 #[test]
+fn an_oversized_or_unparsable_audit_is_400_and_the_server_keeps_serving() {
+    // 2^40 units would size a 2^32-entry per-shard vector: a 256 GiB
+    // allocation, whose failure aborts the process and every tenant with
+    // it. The audit cap answers 400 before any work is done.
+    let server = Server::spawn(&[]);
+    let (status, body) = server.request("POST", "/kg", &register_spec());
+    assert_eq!(status, 200, "{body}");
+    for query in [
+        "units=1099511627776",
+        "units=1048577",
+        "units=lots",
+        "seed=-3",
+    ] {
+        let (status, body) = server.request("GET", &format!("/kg/1/audit?{query}"), "");
+        assert_eq!(status, 400, "{query}: {body}");
+    }
+    let (status, body) = server.request("GET", "/kg/1/audit?units=300&seed=3", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(counter(&body, "shards"), 2, "{body}");
+    let (status, body) = server.request("GET", "/kg/1/estimate", "");
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
 fn load_shedding_answers_503_with_retry_after() {
     // max-in-flight 0 sheds every request deterministically.
     let server = Server::spawn(&["--max-in-flight", "0"]);
