@@ -293,7 +293,7 @@ impl DenseAnnotator {
         if self.growth_oracle.is_none() {
             return Err(DenseGrowthError::NoGrowthOracle);
         }
-        Arc::make_mut(&mut self.store).append_pending(delta);
+        Arc::make_mut(&mut self.store).append_pending(delta.delta_sizes());
         self.grow_bitmaps();
         Ok(())
     }

@@ -184,72 +184,75 @@ impl LabelStore {
     /// [`LabelStore::fill_cluster`] on every appended cluster.
     pub fn extend_with_batch<O: LabelOracle + ?Sized>(&mut self, delta: &UpdateBatch, oracle: &O) {
         let first = self.num_clusters();
-        self.append_pending(delta);
+        self.append_pending(delta.delta_sizes());
         for cluster in first..self.num_clusters() {
             self.fill_cluster(cluster, oracle);
         }
     }
 
-    /// Append an update batch's `Δe` clusters as **pending**: the prefix
+    /// Append `Δe` clusters of the given sizes as **pending**: the prefix
     /// sums, the directory records and the bitset length grow in amortized
     /// O(|Δ| / 64 + |Δe|), and no oracle is consulted. Ids are minted as in
     /// [`LabelStore::extend_with_batch`]. A pending cluster's sizes and
     /// addresses are final; its labels and `τ_i` are not readable until
-    /// [`LabelStore::fill_cluster`] fills it.
+    /// [`LabelStore::fill_cluster`] fills it. Every size must be positive,
+    /// as [`UpdateBatch`] and the session decoder guarantee.
     ///
-    /// The prefix-sum snapshot is extended via
-    /// [`UpdateBatch::extend_prefix`]: held uniquely it grows in place;
-    /// shared with a base-snapshot sampling index it is copied once
-    /// (copy-on-write) and the sharer keeps addressing the base, whose
-    /// cluster ids never change.
-    pub fn append_pending(&mut self, delta: &UpdateBatch) {
-        let sizes = delta.delta_sizes();
+    /// Held uniquely, the prefix sums grow in place; shared with a
+    /// base-snapshot sampling index they are copied once (copy-on-write)
+    /// and the sharer keeps addressing the base, whose cluster ids never
+    /// change.
+    pub fn append_pending(&mut self, sizes: &[u32]) {
         if sizes.is_empty() {
             return;
         }
-        let base_total = self.total_triples();
-        let words = (base_total + delta.total_triples()).div_ceil(64) as usize;
+        assert!(
+            sizes.iter().all(|&size| size > 0 && size < PENDING),
+            "cluster sizes outside the label store's range"
+        );
+        let prefix = Arc::make_mut(&mut self.prefix);
+        let mut end = *prefix.last().expect("prefix non-empty");
+        prefix.extend(sizes.iter().map(|&size| {
+            end += u64::from(size);
+            end
+        }));
+        let bases = prefix[prefix.len() - 1 - sizes.len()..].iter();
+        self.dir
+            .extend(bases.zip(sizes).map(|(&base, &size)| ClusterDir {
+                base,
+                tau: PENDING,
+                size,
+            }));
+        self.taus.resize(self.taus.len() + sizes.len(), PENDING);
+        let words = end.div_ceil(64) as usize;
         self.bits.resize(words, 0);
         if !self.dead.is_empty() {
             self.dead.resize(words, 0);
         }
-        delta.extend_prefix(&mut self.prefix);
-        self.dir.reserve(sizes.len());
-        self.taus.reserve(sizes.len());
-        let mut base = base_total;
-        for &size in sizes {
-            assert!(
-                size < PENDING,
-                "cluster size {size} exceeds the label store's range"
-            );
-            self.dir.push(ClusterDir {
-                base,
-                tau: PENDING,
-                size,
-            });
-            self.taus.push(PENDING);
-            base += size as u64;
-        }
         self.pending += sizes.len();
-        debug_assert_eq!(self.total_triples(), base);
     }
 
-    /// Reserve room for `clusters` more clusters holding `triples` more
-    /// triples, so a run of [`LabelStore::append_pending`] calls — a
-    /// session's batch log at revival — reallocates once instead of once
-    /// per doubling. Each buffer gets the capacity the appends would have
-    /// doubled it to, so the one allocation holds no more memory than
-    /// the appends it replaces.
-    pub fn reserve(&mut self, clusters: usize, triples: u64) {
+    /// A copy of this store with room for `clusters` more clusters holding
+    /// `triples` more triples, so a run of [`LabelStore::append_pending`]
+    /// calls — a session's batch log at revival over a shared catalog
+    /// store — copies the store once and never reallocates. Each buffer
+    /// gets the capacity that appending to a clone would have doubled it
+    /// to, so the copy holds no more memory than the appends it replaces.
+    pub fn with_room(&self, clusters: usize, triples: u64) -> LabelStore {
         let words = (self.total_triples() + triples).div_ceil(64) as usize;
         let grow = words - self.bits.len();
-        reserve_doubled(&mut self.bits, grow);
-        if !self.dead.is_empty() {
-            reserve_doubled(&mut self.dead, grow);
+        LabelStore {
+            bits: copy_with_room(&self.bits, grow),
+            prefix: Arc::new(copy_with_room(&self.prefix, clusters)),
+            dir: copy_with_room(&self.dir, clusters),
+            taus: copy_with_room(&self.taus, clusters),
+            dead: if self.dead.is_empty() {
+                Vec::new()
+            } else {
+                copy_with_room(&self.dead, grow)
+            },
+            ..*self
         }
-        reserve_doubled(Arc::make_mut(&mut self.prefix), clusters);
-        reserve_doubled(&mut self.dir, clusters);
-        reserve_doubled(&mut self.taus, clusters);
     }
 
     /// Fill a pending cluster's label bits and `τ_i` from the oracle,
@@ -397,17 +400,17 @@ impl LabelStore {
     }
 }
 
-/// Grow `v`'s capacity to hold `additional` more items, doubling from
-/// its current capacity as item-by-item growth would, in one allocation.
-fn reserve_doubled<T>(v: &mut Vec<T>, additional: usize) {
+/// A copy of `v` with room for `additional` more items: the capacity a
+/// clone of `v` would double to while they were pushed one by one.
+fn copy_with_room<T: Copy>(v: &[T], additional: usize) -> Vec<T> {
     let len = v.len() + additional;
-    if len > v.capacity() {
-        let mut cap = v.capacity().max(4);
-        while cap < len {
-            cap *= 2;
-        }
-        v.reserve_exact(cap - v.len());
+    let mut cap = v.len().max(4);
+    while cap < len {
+        cap *= 2;
     }
+    let mut out = Vec::with_capacity(cap);
+    out.extend_from_slice(v);
+    out
 }
 
 impl LabelOracle for LabelStore {
@@ -521,9 +524,9 @@ mod tests {
         let batch = UpdateBatch::from_sizes(vec![70, 2, 9]).unwrap(); // spans words
         let mut eager = LabelStore::materialize(&base, &oracle);
         eager.extend_with_batch(&batch, &oracle);
-        let mut lazy = LabelStore::materialize(&base, &oracle);
-        lazy.reserve(batch.num_delta_clusters(), batch.total_triples());
-        lazy.append_pending(&batch);
+        let mut lazy = LabelStore::materialize(&base, &oracle)
+            .with_room(batch.num_delta_clusters(), batch.total_triples());
+        lazy.append_pending(batch.delta_sizes());
         // The directory is final at once; only labels wait.
         assert_eq!(lazy.pending_clusters(), 3);
         assert_eq!(lazy.total_triples(), eager.total_triples());

@@ -314,9 +314,13 @@ fn run_scaled(
             // Sabotage the spill records while the process is down.
             let store = CheckpointStore::open(&dir).expect("reopen store");
             for &t in &plan.torn {
-                let path = store.path_for(ids[t]);
-                let full = std::fs::read(&path).expect("read spill record");
-                std::fs::write(&path, &full[..full.len() / 3]).expect("tear spill record");
+                // Both slots, so no older copy of the record survives.
+                for path in store.slot_paths(ids[t]) {
+                    let Ok(full) = std::fs::read(&path) else {
+                        continue;
+                    };
+                    std::fs::write(&path, &full[..full.len() / 3]).expect("tear spill slot");
+                }
                 torn_spills += 1;
             }
             std::fs::remove_file(store.path_for(ids[plan.vanished])).expect("delete spill record");

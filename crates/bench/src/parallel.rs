@@ -11,8 +11,9 @@
 //! adds a second sweep one level down: a single fixed-size WCS sharded
 //! replay at 1, 2, 4, and 8 *shard workers* per scale, measuring
 //! single-replay latency rather than trial throughput. Schema v3 times
-//! every cell [`TIMED_RUNS`] times and records the median and IQR; the
-//! speedups divide medians. The artifact is `BENCH_parallel.json` (schema
+//! every cell in [`TIMED_RUNS`] samples, each repeating the cell for at
+//! least [`MIN_SAMPLE_SEC`], and records the median and IQR of the time
+//! per iteration; the speedups divide medians. The artifact is `BENCH_parallel.json` (schema
 //! `kg-bench-parallel/v3`).
 //!
 //! Two properties are recorded per sweep, and both matter:
@@ -54,8 +55,12 @@ pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub const SHARD_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Second-stage cap of the TWCS workload.
 pub const M: usize = 5;
-/// Timed repetitions of every cell; a cell reports their median and IQR.
+/// Timed samples of every cell; a cell reports their median and IQR.
 pub const TIMED_RUNS: usize = 5;
+/// Minimum wall time of one timed sample: a sample repeats its cell until
+/// it has run this long, so a ratio of two cells resolves more than the
+/// host's scheduling noise.
+pub const MIN_SAMPLE_SEC: f64 = 0.1;
 
 /// The CPUs this process may run on (`Cpus_allowed_list` from
 /// `/proc/self/status`), or `"unknown"` where unavailable — context for
@@ -274,16 +279,21 @@ pub struct ParallelReport {
     pub scales: Vec<ParallelScaleReport>,
 }
 
-/// Run `cell` [`TIMED_RUNS`] times and return the median and IQR of its
-/// seconds, with the last run's output. The cell is deterministic, so
-/// every run's output is the same.
+/// Time `cell` over [`TIMED_RUNS`] samples, each repeating it until the
+/// sample has run for [`MIN_SAMPLE_SEC`], and return the median and IQR
+/// of the seconds per iteration, with the last iteration's output. The
+/// cell is deterministic, so every iteration's output is the same.
 fn timed<T>(mut cell: impl FnMut() -> T) -> (f64, f64, T) {
     let mut secs = Vec::with_capacity(TIMED_RUNS);
     let mut out = None;
     for _ in 0..TIMED_RUNS {
         let t0 = Instant::now();
-        out = Some(cell());
-        secs.push(t0.elapsed().as_secs_f64());
+        let mut iterations = 0u32;
+        while iterations == 0 || t0.elapsed().as_secs_f64() < MIN_SAMPLE_SEC {
+            out = Some(cell());
+            iterations += 1;
+        }
+        secs.push(t0.elapsed().as_secs_f64() / f64::from(iterations));
     }
     secs.sort_by(f64::total_cmp);
     // Linear-interpolated quantiles over the sorted runs.
@@ -454,7 +464,7 @@ pub fn to_json(report: &ParallelReport) -> String {
     s.push_str(&format!("  \"affinity\": \"{}\",\n", report.affinity));
     s.push_str("  \"metric\": \"trials_per_second\",\n");
     s.push_str(&format!(
-        "  \"timing\": {{\"runs_per_cell\": {TIMED_RUNS}, \"elapsed_sec\": \"median\", \"elapsed_iqr_sec\": \"q3 - q1\"}},\n"
+        "  \"timing\": {{\"runs_per_cell\": {TIMED_RUNS}, \"min_sample_sec\": {MIN_SAMPLE_SEC}, \"elapsed_sec\": \"median seconds per iteration\", \"elapsed_iqr_sec\": \"q3 - q1\"}},\n"
     ));
     s.push_str(&format!(
         "  \"workload\": {{\"design\": \"TWCS\", \"m\": {M}, \"target_moe\": {}, \
@@ -586,7 +596,7 @@ pub fn to_json(report: &ParallelReport) -> String {
 pub fn render_table(report: &ParallelReport) -> String {
     let mut s = format!(
         "parallel scaling — TWCS(m={M}) to MoE 1%, host workers {} (affinity {}), \
-         elapsed = median of {TIMED_RUNS} runs\n",
+         elapsed = median per iteration of {TIMED_RUNS} samples of >= {MIN_SAMPLE_SEC}s\n",
         report.host_workers, report.affinity
     );
     for sc in &report.scales {

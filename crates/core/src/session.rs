@@ -244,8 +244,13 @@ impl From<KgError> for SessionError {
 }
 
 impl From<SpillError> for SessionError {
+    /// A record whose every slot is torn is a corrupt checkpoint, like one
+    /// that fails to decode.
     fn from(e: SpillError) -> Self {
-        SessionError::Spill(e)
+        match e {
+            SpillError::Corrupt(e) => SessionError::Codec(e),
+            e => SessionError::Spill(e),
+        }
     }
 }
 
@@ -1003,25 +1008,23 @@ impl SessionRegistry {
                     .store
                     .as_ref()
                     .expect("spilled slots only exist with a store attached");
-                let bytes = match store.load(id) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        // The record vanished out from under us — the
-                        // session is unrecoverable; forget it.
-                        sessions.remove(&id);
-                        self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
-                        return Err(e.into());
-                    }
-                };
-                let session = match self.materialize(&bytes) {
+                let revived = store
+                    .load(id)
+                    .map_err(SessionError::from)
+                    .and_then(|bytes| self.materialize(&bytes));
+                let session = match revived {
                     Ok(session) => session,
                     Err(e) => {
-                        // Torn / corrupt / version-skewed record: typed
-                        // error, and the session is dropped rather than
-                        // ever served partially decoded. Clients holding
-                        // their own checkpoint re-register it.
+                        // Vanished / torn / corrupt / version-skewed
+                        // record: typed error, and the session is dropped
+                        // rather than ever served partially decoded. Its
+                        // files go too, unless reading them failed on I/O.
+                        // Clients holding their own checkpoint re-register
+                        // it.
                         sessions.remove(&id);
-                        let _ = store.remove(id);
+                        if !matches!(e, SessionError::Spill(SpillError::Io(_))) {
+                            let _ = store.remove(id);
+                        }
                         self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
                         return Err(e);
                     }
@@ -1080,7 +1083,6 @@ impl SessionRegistry {
         let base = ImplicitKg::new(record.spec.base_sizes.clone())?;
         let mut store = self.catalog_store(&record.spec, &base, &oracle);
         if !record.batch_log.is_empty() {
-            let grown = Arc::make_mut(&mut store);
             let clusters = record.batch_log.iter().map(Vec::len).sum();
             let triples = record
                 .batch_log
@@ -1088,10 +1090,11 @@ impl SessionRegistry {
                 .flatten()
                 .map(|&s| u64::from(s))
                 .sum();
-            grown.reserve(clusters, triples);
+            let mut grown = store.with_room(clusters, triples);
             for sizes in &record.batch_log {
-                grown.append_pending(&UpdateBatch::from_sizes(sizes.clone())?);
+                grown.append_pending(sizes);
             }
+            store = Arc::new(grown);
         }
         for (cluster, dead) in &record.merged_dead {
             let raw = store.cluster_size(*cluster as usize) as u64;
@@ -1217,13 +1220,11 @@ impl SessionRegistry {
     /// spilled slot, preserving ids; `next_id` advances past the highest
     /// recovered id and past the store's persisted id floor, so ids of
     /// sessions whose records were lost or corrupted are never re-minted.
-    /// Spare files that a killed save left behind are settled
-    /// ([`CheckpointStore::settle_spares`]), and older builds' temp files
+    /// The spare and temp files older builds' saves left behind are
     /// deleted ([`CheckpointStore::remove_orphaned_temps`]). Returns the
     /// number of sessions adopted.
     pub fn recover_from_store(&self) -> Result<usize, SessionError> {
         let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
-        store.settle_spares().map_err(SpillError::from)?;
         store.remove_orphaned_temps().map_err(SpillError::from)?;
         let ids = store.ids().map_err(SpillError::from)?;
         let mut sessions = self.sessions.lock().unwrap();
@@ -1426,9 +1427,9 @@ impl SessionRegistry {
 
 /// Encode a session and save it to the store, both under the session's
 /// mutex. Every save of a session goes through here, so saves of one id
-/// never overlap (the store rotates one spare per id) and a save never
-/// lands after a newer one: the last record written is always the state
-/// of the last request that finished.
+/// never overlap (the store rewrites one of two slots per id in place)
+/// and a save never lands after a newer one: the last record written is
+/// always the state of the last request that finished.
 fn persist(store: &CheckpointStore, id: u64, session: &Mutex<Session>) -> std::io::Result<()> {
     let session = session.lock().unwrap();
     store.save(id, &session.checkpoint())

@@ -191,3 +191,87 @@ fn restored_tenants_continue_byte_identically_under_churn() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A state directory written by a build that kept bare records and
+/// rotated spares: recovery adopts every record, sweeps the spares and
+/// temp files, revives each session byte-identically, and later saves
+/// move the records into slots without losing a request.
+#[test]
+fn an_older_builds_state_directory_recovers_byte_identically() {
+    let seed = 91u64;
+    let dir = scratch("legacy-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let origin = SessionRegistry::new();
+    let ids: Vec<u64> = (0..4)
+        .map(|t| {
+            let id = origin.register(spec_for(seed, t)).unwrap();
+            origin.apply_events(id, &script_for(t)[..2]).unwrap();
+            id
+        })
+        .collect();
+    let records: Vec<Vec<u8>> = ids
+        .iter()
+        .map(|&id| origin.checkpoint(id).unwrap())
+        .collect();
+    let dead_pid = std::process::id().wrapping_add(1);
+    for (&id, record) in ids.iter().zip(&records) {
+        let path = dir.join(format!("session-{id}.kgsn"));
+        std::fs::write(&path, record).unwrap();
+        match id % 3 {
+            // Killed between link and rename: one spare is the record.
+            0 => {
+                std::fs::hard_link(&path, dir.join(format!("session-{id}.kgsn.a"))).unwrap();
+                std::fs::write(dir.join(format!("session-{id}.kgsn.b")), b"KGSN unsaved").unwrap();
+            }
+            1 => std::fs::write(dir.join(format!("session-{id}.kgsn.b")), b"KGSN spare").unwrap(),
+            _ => std::fs::write(
+                dir.join(format!("session-{id}.kgsn.{dead_pid}.tmp")),
+                b"KGSN torn",
+            )
+            .unwrap(),
+        }
+    }
+    let floor = ids.iter().max().unwrap() + 5;
+    std::fs::write(dir.join("next-id"), floor.to_string()).unwrap();
+    std::fs::write(dir.join("next-id.a"), b"3").unwrap();
+    std::fs::write(dir.join(format!("next-id.{dead_pid}.tmp")), b"2").unwrap();
+    std::fs::write(dir.join("session-999.kgsn.a"), b"KGSN never saved").unwrap();
+
+    let reg = lifecycle_registry(&dir, 2);
+    assert_eq!(reg.recover_from_store().unwrap(), ids.len());
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    left.sort();
+    let mut want: Vec<String> = ids.iter().map(|id| format!("session-{id}.kgsn")).collect();
+    want.push("next-id".to_string());
+    want.sort();
+    assert_eq!(left, want, "recovery sweeps every spare and temp file");
+    for (t, (&id, record)) in ids.iter().zip(&records).enumerate() {
+        assert_eq!(&reg.checkpoint(id).unwrap(), record, "tenant {t}");
+        assert_eq!(
+            bits(&reg.estimate(id).unwrap()),
+            bits(&origin.estimate(id).unwrap())
+        );
+    }
+    assert!(reg.register(spec_for(seed, 9)).unwrap() >= floor);
+
+    // Write-through saves over the bare records, under eviction churn.
+    for (t, &id) in ids.iter().enumerate() {
+        let event = &script_for(t)[2..];
+        reg.apply_events(id, event).unwrap();
+        origin.apply_events(id, event).unwrap();
+    }
+    drop(reg);
+    let reg = lifecycle_registry(&dir, 2);
+    assert_eq!(reg.recover_from_store().unwrap(), ids.len() + 1);
+    for &id in &ids {
+        assert_eq!(
+            reg.checkpoint(id).unwrap(),
+            origin.checkpoint(id).unwrap(),
+            "write-through over a bare record lost a request"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

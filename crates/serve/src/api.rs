@@ -30,9 +30,11 @@ use kg_model::KgError;
 
 /// Encode bytes as lowercase hex.
 pub fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xF)] as char);
     }
     out
 }
@@ -531,6 +533,14 @@ mod tests {
             &request("POST", "/kg", r#"{"checkpoint":"deadbeef"}"#),
         );
         assert_eq!(status, 400, "valid hex, garbage payload → codec error");
+    }
+
+    #[test]
+    fn hex_encodes_every_byte_as_two_lowercase_digits() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let want: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&bytes), want);
+        assert_eq!(hex_decode(&want.to_uppercase()).unwrap(), bytes);
     }
 
     #[test]

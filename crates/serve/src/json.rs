@@ -154,19 +154,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied whole; every escaped byte is ASCII, so a run never splits a
+/// UTF-8 sequence.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -393,6 +402,38 @@ mod tests {
         assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
         let again = parse(v.to_string().as_bytes()).unwrap();
         assert_eq!(v, again);
+    }
+
+    #[test]
+    fn escapes_match_the_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"quoted\" \\ back",
+            controls.as_str(),
+            "ünï\u{7f}cødé \u{1F600}\n\"end",
+        ] {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            assert_eq!(out, reference(s), "{s:?}");
+        }
     }
 
     #[test]

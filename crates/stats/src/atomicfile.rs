@@ -10,8 +10,8 @@
 //! Each call creates a file and frees the old one's inode, which costs
 //! several times more than writing a small payload. Session spill
 //! records, saved on every eviction, therefore do not use it: `kg_eval`'s
-//! `CheckpointStore` rotates a retained spare file per record under the
-//! same rename guarantee. Neither fsyncs.
+//! `CheckpointStore` rewrites one of two checksummed slot files per record
+//! in place. Neither fsyncs.
 
 use std::io;
 use std::path::{Path, PathBuf};

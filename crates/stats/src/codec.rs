@@ -162,19 +162,23 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
-    /// Write a length-prefixed u64 slice.
+    /// Write a length-prefixed u64 slice, growing the buffer once.
     pub fn put_u64_slice(&mut self, vs: &[u64]) {
         self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u64(v);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
         }
     }
 
-    /// Write a length-prefixed u32 slice.
+    /// Write a length-prefixed u32 slice, growing the buffer once.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u32(v);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * vs.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -299,24 +303,24 @@ impl<'a> Decoder<'a> {
         Ok(claimed as usize)
     }
 
-    /// Read a length-prefixed u64 vector.
+    /// Read a length-prefixed u64 vector in one pass over its bytes.
     pub fn get_u64_vec(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
         let n = self.get_len(8, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.get_u64(what)?);
-        }
-        Ok(v)
+        let bytes = self.take(8 * n, what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
     }
 
-    /// Read a length-prefixed u32 vector.
+    /// Read a length-prefixed u32 vector in one pass over its bytes.
     pub fn get_u32_vec(&mut self, what: &'static str) -> Result<Vec<u32>, CodecError> {
         let n = self.get_len(4, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.get_u32(what)?);
-        }
-        Ok(v)
+        let bytes = self.take(4 * n, what)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect())
     }
 
     /// Read a length-prefixed usize vector.
