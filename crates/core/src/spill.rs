@@ -1009,4 +1009,57 @@ mod tests {
         assert_eq!(store.remove_orphaned_temps().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn a_spare_without_a_record_is_ignored_then_settled() {
+        let dir = scratch("lone-spare");
+        let store = CheckpointStore::open(&dir).unwrap();
+        // An older build killed before a first save's rename, for a
+        // session and the floor.
+        std::fs::write(dir.join("session-9.kgsn.a"), b"unsaved").unwrap();
+        std::fs::write(dir.join("next-id.b"), b"99").unwrap();
+        assert!(matches!(store.load(9), Err(SpillError::Missing(9))));
+        assert!(!store.contains(9));
+        assert!(store.ids().unwrap().is_empty());
+        assert_eq!(store.id_floor(), None);
+        // The next save still succeeds and leaves the spare alone.
+        store.save(9, b"first").unwrap();
+        assert_eq!(store.load(9).unwrap(), b"first");
+        assert_eq!(
+            files_of(&dir, 9),
+            vec!["session-9.kgsn", "session-9.kgsn.a"]
+        );
+        // Recovery deletes spares, with or without a record; foreign
+        // files with a spare-like suffix stay.
+        std::fs::write(dir.join("session-10.kgsn.b"), b"unsaved").unwrap();
+        std::fs::write(dir.join("session-11.kgsn.a"), b"unsaved").unwrap();
+        std::fs::write(dir.join("notes.a"), b"foreign").unwrap();
+        assert_eq!(store.remove_orphaned_temps().unwrap(), 4);
+        assert_eq!(files_of(&dir, 9), vec!["session-9.kgsn"]);
+        assert!(files_of(&dir, 10).is_empty() && files_of(&dir, 11).is_empty());
+        assert!(!dir.join("next-id.b").exists());
+        assert!(dir.join("notes.a").exists());
+        assert_eq!(store.load(9).unwrap(), b"first");
+        assert_eq!(store.remove_orphaned_temps().unwrap(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn doubled_unshared_spares_settle_to_one() {
+        let dir = scratch("two-spares");
+        let store = CheckpointStore::open(&dir).unwrap();
+        store.save(4, b"record").unwrap();
+        let record = store.path_for(4);
+        let [a, b] = LEGACY_SPARES.map(|suffix| with_suffix(&record, suffix));
+        std::fs::write(&a, b"spare a").unwrap();
+        std::fs::write(&b, b"spare b").unwrap();
+        store.record_id_floor(3).unwrap();
+        store.record_id_floor(4).unwrap();
+        // Both spares go; the record's one slot is all that is left.
+        assert_eq!(store.remove_orphaned_temps().unwrap(), 2);
+        assert_eq!(files_of(&dir, 4), vec!["session-4.kgsn"]);
+        assert_eq!(store.load(4).unwrap(), b"record");
+        assert_eq!(store.id_floor(), Some(4));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
