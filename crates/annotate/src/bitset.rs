@@ -27,6 +27,11 @@
 //! an already-zero word is a no-op — and it is what lets `set_range`
 //! journal one span per call instead of testing every interior word for
 //! the 0 → nonzero flip.
+//!
+//! A set that is never reset — a session's resident memo, which lives as
+//! long as the session — is built [`BitsetJournal::unjournaled`]: it
+//! records no spans and holds no journal capacity, and a reset (should
+//! one happen) zeroes every word.
 
 /// One packed bit-set with a touched-span journal for cheap resets.
 ///
@@ -41,16 +46,27 @@ pub struct BitsetJournal {
     /// reset, one per journaling call site. Every word that holds a set
     /// bit is covered by at least one span; spans may overlap each other
     /// and words that were never flipped (over-coverage is harmless — see
-    /// the module docs).
-    spans: Vec<(u32, u32)>,
+    /// the module docs). `None` for an [unjournaled](Self::unjournaled)
+    /// set.
+    spans: Option<Vec<(u32, u32)>>,
 }
 
 impl BitsetJournal {
-    /// Empty set covering `bits` bits (all clear).
+    /// Empty set covering `bits` bits (all clear), journaling the spans
+    /// it touches so [`BitsetJournal::reset`] costs the touched footprint.
     pub fn with_capacity(bits: u64) -> Self {
         BitsetJournal {
             words: vec![0; bits.div_ceil(64) as usize],
-            spans: Vec::new(),
+            spans: Some(Vec::new()),
+        }
+    }
+
+    /// Empty set covering `bits` bits that keeps no journal: for sets
+    /// that live without resets, where a journal would only grow.
+    pub fn unjournaled(bits: u64) -> Self {
+        BitsetJournal {
+            words: vec![0; bits.div_ceil(64) as usize],
+            spans: None,
         }
     }
 
@@ -128,10 +144,15 @@ impl BitsetJournal {
 
     /// Zero every journaled span — one `memset` per span, so the cost
     /// scales with how many contiguous regions were touched since the last
-    /// reset, not with capacity or even touched-word count.
+    /// reset, not with capacity or even touched-word count. An
+    /// unjournaled set zeroes every word.
     #[inline]
     pub fn reset(&mut self) {
-        for &(start, len) in &self.spans {
+        let Some(spans) = &mut self.spans else {
+            self.words.fill(0);
+            return;
+        };
+        for &(start, len) in spans.iter() {
             let s = start as usize;
             // Direct stores for the dominant tiny spans (random single-bit
             // journal entries): `fill` on a runtime-length slice lowers to
@@ -146,7 +167,7 @@ impl BitsetJournal {
                 self.words[s..s + len as usize].fill(0);
             }
         }
-        self.spans.clear();
+        spans.clear();
     }
 
     /// Grow the word arena to cover `bits` (appended words start clear, so
@@ -162,9 +183,57 @@ impl BitsetJournal {
     }
 
     /// Journal entries currently recorded (diagnostic; resets scale with
-    /// this, not with words).
+    /// this, not with words). Always 0 for an unjournaled set.
     pub fn journaled_spans(&self) -> usize {
-        self.spans.len()
+        self.spans.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Indices of the set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    ((wi as u64) << 6) | u64::from(bit)
+                })
+            })
+        })
+    }
+
+    /// The `len ≤ 64` bits starting at bit `start`, least significant
+    /// first.
+    #[inline]
+    pub fn bits_at(&self, start: u64, len: u32) -> u64 {
+        read_bits(&self.words, start, len)
+    }
+
+    /// Set the `len ≤ 64` bits starting at bit `start` that are set in
+    /// `bits` (bits at `len` and above must be clear); returns how many
+    /// were previously clear.
+    #[inline]
+    pub fn or_bits(&mut self, start: u64, len: u32, bits: u64) -> u64 {
+        debug_assert!(len <= 64 && (len == 64 || bits >> len == 0));
+        if bits == 0 {
+            return 0;
+        }
+        let wi = (start >> 6) as usize;
+        let shift = (start & 63) as u32;
+        let lo = bits << shift;
+        let mut fresh = u64::from((lo & !self.words[wi]).count_ones());
+        self.words[wi] |= lo;
+        let mut touched = 1;
+        if shift + len > 64 {
+            let hi = bits >> (64 - shift);
+            fresh += u64::from((hi & !self.words[wi + 1]).count_ones());
+            self.words[wi + 1] |= hi;
+            touched = 2;
+        }
+        if fresh > 0 {
+            self.push_span(wi as u32, touched);
+        }
+        fresh
     }
 
     /// Record `(start, len)` — one plain push. Deliberately no
@@ -176,7 +245,31 @@ impl BitsetJournal {
     /// visit) for no asymptotic gain.
     #[inline]
     fn push_span(&mut self, start: u32, len: u32) {
-        self.spans.push((start, len));
+        if let Some(spans) = &mut self.spans {
+            spans.push((start, len));
+        }
+    }
+}
+
+/// The `len ≤ 64` bits of packed `words` starting at bit `start`, least
+/// significant first. Shared by [`BitsetJournal::bits_at`] and the packed
+/// memo codec.
+#[inline]
+pub fn read_bits(words: &[u64], start: u64, len: u32) -> u64 {
+    debug_assert!(len <= 64);
+    if len == 0 {
+        return 0;
+    }
+    let wi = (start >> 6) as usize;
+    let shift = (start & 63) as u32;
+    let mut v = words[wi] >> shift;
+    if shift + len > 64 {
+        v |= words[wi + 1] << (64 - shift);
+    }
+    if len < 64 {
+        v & ((1u64 << len) - 1)
+    } else {
+        v
     }
 }
 
@@ -284,6 +377,55 @@ mod tests {
         assert_eq!(popcount_range(&words, 128, 132), 3);
         assert_eq!(popcount_range(&words, 10, 10), 0);
         assert_eq!(popcount_range(&words, 63, 65), 1);
+    }
+
+    #[test]
+    fn unjournaled_sets_keep_no_journal_and_reset_every_word() {
+        let mut bm = BitsetJournal::unjournaled(64 * 4);
+        assert!(bm.set(3));
+        assert_eq!(bm.set_range(60, 200), 140);
+        assert_eq!(bm.or_bits(250, 6, 0b101), 2);
+        assert_eq!(bm.journaled_spans(), 0);
+        bm.grow(64 * 8);
+        assert!(bm.get(199) && bm.get(252) && !bm.get(251));
+        bm.reset();
+        assert_eq!(bm.count_range(0, 64 * 8), 0);
+    }
+
+    #[test]
+    fn ones_bits_at_and_or_bits_agree_with_per_bit_reads() {
+        let mut bm = BitsetJournal::with_capacity(64 * 4);
+        let set = [0u64, 5, 63, 64, 100, 127, 128, 255];
+        for &i in &set {
+            bm.set(i);
+        }
+        assert_eq!(bm.ones().collect::<Vec<_>>(), set);
+        for (start, len) in [
+            (0u64, 64u32),
+            (1, 63),
+            (60, 10),
+            (100, 64),
+            (192, 64),
+            (5, 0),
+        ] {
+            let naive = (0..u64::from(len))
+                .filter(|&k| bm.get(start + k))
+                .fold(0u64, |acc, k| acc | 1 << k);
+            assert_eq!(bm.bits_at(start, len), naive, "[{start}, +{len})");
+        }
+        // OR-ing a span back into a clear set reproduces it, counting
+        // only the fresh bits, and journals the touched words.
+        let mut copy = BitsetJournal::with_capacity(64 * 4);
+        let mut fresh = 0;
+        for start in (0..256).step_by(40) {
+            let len = 40.min(256 - start) as u32;
+            fresh += copy.or_bits(start, len, bm.bits_at(start, len));
+        }
+        assert_eq!(fresh, set.len() as u64);
+        assert_eq!(copy.ones().collect::<Vec<_>>(), set);
+        assert_eq!(copy.or_bits(60, 10, bm.bits_at(60, 10)), 0);
+        copy.reset();
+        assert_eq!(copy.count_range(0, 256), 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! engines report byte-identical seconds.
 
 use crate::annotator::Annotator;
-use crate::bitset::BitsetJournal;
+use crate::bitset::{read_bits, BitsetJournal};
 use crate::cost::CostModel;
 use crate::label_store::LabelStore;
 use crate::oracle::LabelOracle;
@@ -105,6 +105,74 @@ impl std::fmt::Display for DenseGrowthError {
 
 impl std::error::Error for DenseGrowthError {}
 
+/// A dense arena's memo in the compact form a session checkpoint stores
+/// ([`DenseAnnotator::pack_memo`], [`DenseAnnotator::restore_memo`]).
+///
+/// Every labelled triple lies in an identified cluster (annotation
+/// identifies a cluster before it labels any of its triples), so the
+/// memo needs only the identified clusters and, for each, the labelled
+/// bits of its raw range — not the arena's dense bitmaps, which cover
+/// the whole population. The third bitmap, `cluster_full`, is a cache
+/// and is derived on restore.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedMemo {
+    /// Identified clusters, strictly increasing.
+    pub identified: Vec<u32>,
+    /// The labelled bits of each identified cluster's raw range, in
+    /// cluster order and packed back to back, least significant bit
+    /// first. The bits past the last range, up to the word boundary, are
+    /// clear.
+    pub labelled: Vec<u64>,
+}
+
+/// Why a [`PackedMemo`] does not fit an arena's label store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoError {
+    /// Identified clusters are not strictly increasing.
+    Unordered,
+    /// An identified cluster lies past the store's extent.
+    PastExtent,
+    /// The labelled words do not cover exactly the identified ranges.
+    Length,
+    /// A labelled bit lies past the identified ranges, i.e. in a cluster
+    /// that was never identified.
+    Unidentified,
+}
+
+impl MemoError {
+    /// A short static description, for typed codec errors.
+    pub fn what(self) -> &'static str {
+        match self {
+            MemoError::Unordered => "memo clusters must be strictly increasing",
+            MemoError::PastExtent => "memo cluster past the population extent",
+            MemoError::Length => "memo labels must cover exactly the identified clusters",
+            MemoError::Unidentified => "memo labels a triple of a cluster that was not identified",
+        }
+    }
+}
+
+impl std::fmt::Display for MemoError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.what())
+    }
+}
+
+impl std::error::Error for MemoError {}
+
+/// Append the `len ≤ 64` low bits of `bits` to a packed stream that holds
+/// `at` bits so far.
+fn append_bits(words: &mut Vec<u64>, at: u64, len: u32, bits: u64) {
+    let shift = (at & 63) as u32;
+    if shift == 0 {
+        words.push(bits);
+        return;
+    }
+    *words.last_mut().expect("a partial word exists") |= bits << shift;
+    if shift + len > 64 {
+        words.push(bits >> (64 - shift));
+    }
+}
+
 /// Dense annotator arena: label store + cost accounting + bitmap memo.
 ///
 /// # Population scope
@@ -153,6 +221,8 @@ pub struct DenseAnnotator {
     /// (replayed trials would otherwise observe final tombstone state
     /// mid-stream and diverge from the hash reference), and a trial
     /// [`DenseAnnotator::reset`] drops them in O(retractions this trial).
+    /// A [resident](DenseAnnotator::resident) arena keeps them for the
+    /// population's life.
     tombs: TombstoneMap,
     /// Correct-label count among each cluster's dead triples, maintained by
     /// [`Annotator::retract`] so the cluster fast path can answer live τ as
@@ -164,14 +234,23 @@ impl DenseAnnotator {
     /// New arena over a shared label store. Allocates the bitmaps once;
     /// reuse the arena across trials via [`DenseAnnotator::reset`].
     pub fn new(store: Arc<LabelStore>, cost: CostModel) -> Self {
+        Self::with_bitmaps(store, cost, None, BitsetJournal::with_capacity)
+    }
+
+    fn with_bitmaps(
+        store: Arc<LabelStore>,
+        cost: CostModel,
+        growth_oracle: Option<Arc<dyn LabelOracle + Send + Sync>>,
+        bitmap: fn(u64) -> BitsetJournal,
+    ) -> Self {
         let n = store.num_clusters() as u64;
         let m = store.total_triples();
         DenseAnnotator {
             cost,
-            growth_oracle: None,
-            identified: BitsetJournal::with_capacity(n),
-            labeled: BitsetJournal::with_capacity(m),
-            cluster_full: BitsetJournal::with_capacity(n),
+            growth_oracle,
+            identified: bitmap(n),
+            labeled: bitmap(m),
+            cluster_full: bitmap(n),
             n_identified: 0,
             n_labeled: 0,
             tombs: TombstoneMap::new(),
@@ -190,9 +269,22 @@ impl DenseAnnotator {
         cost: CostModel,
         oracle: Arc<dyn LabelOracle + Send + Sync>,
     ) -> Self {
-        let mut this = Self::new(store, cost);
-        this.growth_oracle = Some(oracle);
-        this
+        Self::with_bitmaps(store, cost, Some(oracle), BitsetJournal::with_capacity)
+    }
+
+    /// A **resident** arena: like [`DenseAnnotator::growable`], but meant
+    /// to live as long as the population it annotates (a served session)
+    /// and never be reset, so its bitmaps keep no reset journal. Its memo
+    /// and tombstones accumulate over the whole event stream, so
+    /// [`Annotator::seconds`] is Definition 3 over everything annotated
+    /// since the arena was built. A [`DenseAnnotator::reset`] still works,
+    /// at O(capacity).
+    pub fn resident(
+        store: Arc<LabelStore>,
+        cost: CostModel,
+        oracle: Arc<dyn LabelOracle + Send + Sync>,
+    ) -> Self {
+        Self::with_bitmaps(store, cost, Some(oracle), BitsetJournal::unjournaled)
     }
 
     /// Append an update batch's clusters to the arena with their labels
@@ -327,14 +419,91 @@ impl DenseAnnotator {
         &self.store
     }
 
-    /// Give the (possibly grown) label store back, dropping the memo.
-    pub fn into_store(self) -> Arc<LabelStore> {
-        self.store
-    }
-
     /// The cost model in use.
     pub fn cost_model(&self) -> CostModel {
         self.cost
+    }
+
+    /// The tombstones retracted into this arena so far.
+    pub fn tombstones(&self) -> &TombstoneMap {
+        &self.tombs
+    }
+
+    /// The memo in compact form: the identified clusters and the
+    /// labelled bits of exactly their raw ranges. Costs O(clusters / 64 +
+    /// identified triples); see [`PackedMemo`].
+    pub fn pack_memo(&self) -> PackedMemo {
+        let mut memo = PackedMemo {
+            identified: Vec::with_capacity(self.n_identified),
+            labelled: Vec::new(),
+        };
+        let mut len = 0u64;
+        for c in self.identified.ones() {
+            memo.identified.push(c as u32);
+            let base = self.store.cluster_base(c as usize);
+            let size = self.store.cluster_size(c as usize) as u64;
+            let mut done = 0u64;
+            while done < size {
+                let take = (size - done).min(64) as u32;
+                let bits = self.labeled.bits_at(base + done, take);
+                append_bits(&mut memo.labelled, len, take, bits);
+                len += u64::from(take);
+                done += u64::from(take);
+            }
+        }
+        memo
+    }
+
+    /// Lay a [`PackedMemo`] into a fresh arena over the store it was
+    /// packed from (or one with the same directory), so the arena charges
+    /// exactly as the packing arena would have. `cluster_full` is derived:
+    /// a cluster is full when every one of its raw triples is labelled.
+    /// The memo is checked whole before anything is written, and a memo
+    /// that does not fit the store is a typed [`MemoError`].
+    pub fn restore_memo(&mut self, memo: &PackedMemo) -> Result<(), MemoError> {
+        debug_assert_eq!((self.n_identified, self.n_labeled), (0, 0), "fresh arena");
+        let clusters = self.store.num_clusters() as u64;
+        let mut bits = 0u64;
+        let mut prev: Option<u32> = None;
+        for &c in &memo.identified {
+            if prev.is_some_and(|p| p >= c) {
+                return Err(MemoError::Unordered);
+            }
+            if u64::from(c) >= clusters {
+                return Err(MemoError::PastExtent);
+            }
+            prev = Some(c);
+            bits += self.store.cluster_size(c as usize) as u64;
+        }
+        if memo.labelled.len() as u64 != bits.div_ceil(64) {
+            return Err(MemoError::Length);
+        }
+        if !bits.is_multiple_of(64) && memo.labelled.last().is_some_and(|&w| w >> (bits % 64) != 0)
+        {
+            return Err(MemoError::Unidentified);
+        }
+        let mut at = 0u64;
+        for &c in &memo.identified {
+            let base = self.store.cluster_base(c as usize);
+            let size = self.store.cluster_size(c as usize) as u64;
+            if self.identified.set(u64::from(c)) {
+                self.n_identified += 1;
+            }
+            let mut fresh = 0u64;
+            let mut done = 0u64;
+            while done < size {
+                let take = (size - done).min(64) as u32;
+                let word = read_bits(&memo.labelled, at + done, take);
+                fresh += self.labeled.or_bits(base + done, take, word);
+                done += u64::from(take);
+            }
+            if fresh == size {
+                self.cluster_full.set(u64::from(c));
+            }
+            self.n_labeled += fresh as usize;
+            at += size;
+        }
+        Ok(())
     }
 
     /// Touch a cluster before reading its labels: fill it if pending, and
@@ -858,6 +1027,82 @@ mod tests {
         dense.retract(&r);
         assert_eq!(dense.annotate_cluster(0, 2), live_tau);
         assert_eq!(dense.triples_annotated(), 2);
+    }
+
+    /// A resident arena over a base of 30 clusters grown by a pending
+    /// batch, after mixed annotation and a retraction.
+    fn annotated_resident() -> (DenseAnnotator, UpdateBatch) {
+        let kg = ImplicitKg::new((0..30).map(|i| 1 + i % 70).collect()).unwrap();
+        let oracle = RemOracle::new(0.7, 17);
+        let store = Arc::new(LabelStore::materialize(&kg, &oracle));
+        let mut a = DenseAnnotator::resident(store, CostModel::default(), Arc::new(oracle));
+        let delta = UpdateBatch::from_sizes(vec![3, 90, 1, 65]).unwrap();
+        a.extend_population(30, &delta);
+        a.annotate_cluster(29, 30);
+        a.annotate_offsets(3, &[0, 2]);
+        a.annotate_cluster(31, 90);
+        a.annotate_one(TripleRef::new(33, 64));
+        a.retract(&Retraction::new(vec![(31, vec![4, 5]), (12, vec![0])]).unwrap());
+        a.annotate_cluster(12, 12);
+        (a, delta)
+    }
+
+    #[test]
+    fn packed_memo_restores_the_same_charges() {
+        let (mut a, delta) = annotated_resident();
+        let memo = a.pack_memo();
+        assert_eq!(memo.identified, vec![3, 12, 29, 31, 33]);
+        // A fresh arena over the same directory: the labelled clusters
+        // come back pending, as a revived session's do.
+        let kg = ImplicitKg::new((0..30).map(|i| 1 + i % 70).collect()).unwrap();
+        let oracle = RemOracle::new(0.7, 17);
+        let mut store = LabelStore::materialize(&kg, &oracle);
+        store.append_pending(delta.delta_sizes());
+        let mut b =
+            DenseAnnotator::resident(Arc::new(store), CostModel::default(), Arc::new(oracle));
+        b.restore_memo(&memo).unwrap();
+        b.retract(&Retraction::new(vec![(12, vec![0]), (31, vec![4, 5])]).unwrap());
+        assert_eq!(b.seconds(), a.seconds());
+        assert_eq!(b.pack_memo(), memo);
+        // Both charge the same from here on: memoized triples stay free.
+        for arena in [&mut a, &mut b] {
+            arena.annotate_cluster(31, 88);
+            arena.annotate_cluster(29, 30);
+            arena.annotate_offsets(33, &[0, 64]);
+            arena.annotate_cluster(3, 4);
+        }
+        assert_eq!(b.seconds(), a.seconds());
+        assert_eq!(b.triples_annotated(), a.triples_annotated());
+        assert_eq!(b.entities_identified(), a.entities_identified());
+    }
+
+    #[test]
+    fn hostile_packed_memos_are_typed_errors() {
+        let (a, _) = annotated_resident();
+        let memo = a.pack_memo();
+        let fresh = || {
+            let store = a.store().clone();
+            DenseAnnotator::resident(
+                store,
+                CostModel::default(),
+                Arc::new(RemOracle::new(0.7, 17)),
+            )
+        };
+        let mut bad = memo.clone();
+        bad.identified.swap(0, 1);
+        assert_eq!(fresh().restore_memo(&bad), Err(MemoError::Unordered));
+        let mut bad = memo.clone();
+        *bad.identified.last_mut().unwrap() = 34;
+        assert_eq!(fresh().restore_memo(&bad), Err(MemoError::PastExtent));
+        let mut bad = memo.clone();
+        bad.labelled.push(1);
+        assert_eq!(fresh().restore_memo(&bad), Err(MemoError::Length));
+        let mut bad = memo.clone();
+        *bad.labelled.last_mut().unwrap() |= 1 << 63;
+        assert_eq!(fresh().restore_memo(&bad), Err(MemoError::Unidentified));
+        let mut ok = fresh();
+        ok.restore_memo(&memo).unwrap();
+        assert_eq!(ok.seconds(), a.seconds());
     }
 
     #[test]

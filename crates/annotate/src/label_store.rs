@@ -90,23 +90,6 @@ pub struct LabelStore {
     dead_correct: u64,
 }
 
-impl Default for LabelStore {
-    /// The empty store: no clusters, no triples.
-    fn default() -> Self {
-        LabelStore {
-            bits: Vec::new(),
-            prefix: Arc::new(vec![0]),
-            dir: Vec::new(),
-            taus: Vec::new(),
-            correct: 0,
-            pending: 0,
-            dead: Vec::new(),
-            dead_total: 0,
-            dead_correct: 0,
-        }
-    }
-}
-
 impl LabelStore {
     /// Materialize an oracle over a population (prefix sums built here).
     pub fn materialize<P: ClusterPopulation + ?Sized, O: LabelOracle + ?Sized>(

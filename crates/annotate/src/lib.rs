@@ -51,7 +51,7 @@ pub mod task;
 pub use annotator::{Annotator, SimulatedAnnotator};
 pub use bitset::BitsetJournal;
 pub use cost::CostModel;
-pub use dense::{DenseAnnotator, DenseGrowthError};
+pub use dense::{DenseAnnotator, DenseGrowthError, MemoError, PackedMemo};
 pub use label_store::LabelStore;
 pub use lease::{ArenaLease, DenseArenaPool};
 pub use oracle::{BmmOracle, GoldLabels, LabelOracle, RemOracle};

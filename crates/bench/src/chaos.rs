@@ -32,8 +32,11 @@
 //! - *Zero served-estimate divergence*: every `200` estimate the fleet
 //!   ever receives — after each event post, at end of run, and after
 //!   the final drain→restart cycle — is byte-compared
-//!   (`mean_bits`/`var_bits`/`units`) against a fault-free in-process
-//!   `SessionRegistry` replay of the same specs and scripts.
+//!   (`mean_bits`/`var_bits`/`units` and the bits of
+//!   `cumulative_cost_seconds`) against a fault-free in-process
+//!   `SessionRegistry` replay of the same specs and scripts. Cost is
+//!   Definition 3 over each tenant's stream, so kills, spills and
+//!   re-registrations from a client's checkpoint must not move it.
 //! - *Full recovery*: the final graceful drain persists every live
 //!   session, and the restarted server revives 100% of the fleet
 //!   byte-identically.

@@ -212,9 +212,12 @@ impl Client {
     }
 }
 
-/// `mean_bits`, `var_bits` and `units` of an estimate: the fingerprint
-/// every byte comparison uses.
-pub type EstimateBits = (String, String, u64);
+/// `mean_bits`, `var_bits` and `units` of an estimate, and the bits of its
+/// `cumulative_cost_seconds`: the fingerprint every byte comparison uses.
+/// A session's cost is Definition 3 over its event stream, however the
+/// stream was split into requests or spilled, so it is compared as
+/// exactly as the estimate.
+pub type EstimateBits = (String, String, u64, u64);
 
 /// The fingerprint of a served estimate (an events or estimate answer).
 pub fn served_bits(doc: &Json) -> EstimateBits {
@@ -228,7 +231,11 @@ pub fn served_bits(doc: &Json) -> EstimateBits {
         .get("units")
         .and_then(Json::as_u64)
         .unwrap_or_else(|| panic!("units in {doc:?}"));
-    (hex("mean_bits"), hex("var_bits"), units)
+    let cost = doc
+        .get("cumulative_cost_seconds")
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("cumulative_cost_seconds in {doc:?}"));
+    (hex("mean_bits"), hex("var_bits"), units, cost.to_bits())
 }
 
 /// The fingerprint of an in-process estimate, formatted as the server
@@ -238,6 +245,7 @@ pub fn local_bits(rep: &EstimateReport) -> EstimateBits {
         format!("{:016x}", rep.mean.to_bits()),
         format!("{:016x}", rep.var_of_mean.to_bits()),
         rep.units as u64,
+        rep.cumulative_cost_seconds.to_bits(),
     )
 }
 

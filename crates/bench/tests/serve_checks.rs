@@ -6,10 +6,13 @@
 //! 2. every tenant runs its insert/retract/revise script one event per
 //!    request, then reads its estimate;
 //! 3. 16 sampled tenants' served estimates are byte-equal
-//!    (`mean_bits`/`var_bits`/`units`) to an in-process
-//!    `SessionRegistry` replay of the same spec and script;
+//!    (`mean_bits`/`var_bits`/`units` and the bits of
+//!    `cumulative_cost_seconds`) to an in-process `SessionRegistry`
+//!    replay of the same spec and script, applied in one request: the
+//!    cost does not depend on how the stream is split into requests;
 //! 4. 8 tenants are checkpointed over HTTP, restored via `POST /kg`, and
-//!    both sessions driven one more event must stay byte-identical.
+//!    both sessions driven one more event must stay byte-identical, cost
+//!    included: the checkpoint carries the annotation memo.
 //!
 //! Both samples cover every spec family. Served latency is kgperf's job
 //! (`kgperf/README.md`); this test only asserts.

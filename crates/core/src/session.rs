@@ -2,54 +2,85 @@
 //! incremental evaluators, with versioned checkpoint/restore.
 //!
 //! A [`SessionRegistry`] owns many tenant *sessions*. Each session is the
-//! complete, explicit state of one accuracy monitor — an
-//! `Arc<`[`LabelStore`]`>` gross-population record, an extractable
+//! complete, explicit state of one accuracy monitor — a resident
+//! annotator over the gross-population [`LabelStore`], an extractable
 //! [`MonitorState`], and an RNG cursor — while heavyweight machinery (the
 //! [`TrialExecutor`], and one materialized base [`LabelStore`] per distinct
 //! base KG) is shared across tenants through an interned catalog.
 //!
 //! # Request model and the checkpoint invariant
 //!
-//! Every request (a batch of [`KgEvent`]s, an estimate read, an audit)
-//! rebuilds its evaluator from the session's [`MonitorState`] and drives
-//! it with a **fresh [`DenseAnnotator`]** that takes the session's store
-//! for the request and hands it back grown, after re-applying the
-//! session's merged tombstones so the live coordinate view matches the
-//! uninterrupted stream. Inserted clusters join the store *pending*: the
-//! annotator fills a cluster's labels from the session's oracle the first
-//! time it touches it (see [`kg_annotate::label_store`]), so a request
-//! pays the oracle only for the clusters its monitor annotates. Every
-//! session runs this one engine on the batched reservoir offer path. Estimates are a pure function of
-//! `(MonitorState, RNG cursor, oracle labels under the live view)`, so a
-//! session checkpointed mid-stream ([`SessionRegistry::checkpoint`]) and
-//! restored in a fresh process ([`SessionRegistry::restore`]) produces
-//! **byte-identical** estimates to the uninterrupted run — and the
-//! estimate stream is invariant to how events are partitioned into
-//! requests.
+//! Each session owns **one resident [`DenseAnnotator`]**, built when the
+//! session registers (or revives) and kept for its whole life. It holds
+//! the session's gross (insert-only) [`LabelStore`], the memo of every
+//! triple annotated so far, and the tombstones of every retraction. Every
+//! request (a batch of [`KgEvent`]s, an estimate read, an audit) rebuilds
+//! its evaluator from the session's [`MonitorState`] and drives it
+//! through that annotator. Inserted clusters join the store *pending*:
+//! the annotator fills a cluster's labels from the session's oracle the
+//! first time it touches it (see [`kg_annotate::label_store`]), so a
+//! request pays the oracle only for the clusters its monitor annotates.
+//! Validation, the live-triple count and the audit's live view read the
+//! annotator's tombstones; the count is O(1). Every session runs this one
+//! engine on the batched reservoir offer path. Estimates are a pure
+//! function of `(MonitorState, RNG cursor, oracle labels under the live
+//! view)`, so a session checkpointed mid-stream
+//! ([`SessionRegistry::checkpoint`]) and restored in a fresh process
+//! ([`SessionRegistry::restore`]) produces **byte-identical** estimates
+//! to the uninterrupted run — and the estimate stream is invariant to how
+//! events are partitioned into requests.
 //!
-//! Annotation *cost* is the one quantity that is not: annotator memos die
-//! at request boundaries, so a cluster re-annotated in a later request is
-//! charged again. `cumulative_cost_seconds` is therefore an upper bound
-//! that tightens to the uninterrupted monitor's cost as requests coarsen.
+//! Annotation *cost* is exact too. The memo outlives requests, spills and
+//! restores, so `cumulative_cost_seconds` is Definition 3 over the whole
+//! stream, base evaluation included: each identified entity is charged
+//! `c1` once and each labelled triple `c2` once, exactly as one
+//! uninterrupted monitor with one annotator would charge them, however
+//! the stream is split into requests. No evaluator reads the memo or the
+//! cost, so keeping them changes no estimate.
 //!
 //! # Checkpoint format
 //!
-//! [`SessionRegistry::checkpoint`] emits a `KGSN` v1 record
-//! ([`kg_stats::codec`]): the full [`SessionSpec`], the monitor-state
-//! payload (`KGMS`), the RNG cursor, the insert-batch log, the merged
-//! tombstones, and stream counters. Two spec bytes are reserved: they
-//! once tagged an annotation engine and a reservoir offer path, so v1
-//! encoders write `0` and `1` there and decoders accept `0` or `1` in
-//! each, reject anything else, and otherwise ignore them. The label store
-//! is *not* serialized. Restore takes the base store from the registry's
-//! catalog and rebuilds only the *directory* of the logged batches (sizes
-//! and addresses); every logged cluster comes back pending and is
-//! labelled on first touch. Labels are a pure function of the oracle seed,
-//! cluster and offset, so the revived session is byte-deterministic, and
-//! revival costs O(record) — the base copy plus the batch log — with no
-//! oracle call. Decoders reject unknown versions, truncated payloads, and
-//! structurally inconsistent records with typed [`CodecError`]s; they
-//! never panic on hostile input.
+//! [`SessionRegistry::checkpoint`] emits a `KGSN` v2 record
+//! ([`kg_stats::codec`]), in this order:
+//!
+//! 1. the full [`SessionSpec`]: kind tag (and RS capacity), `m`, the
+//!    [`EvalConfig`], seed, oracle accuracy and seed, base sizes;
+//! 2. the monitor-state payload (`KGMS`);
+//! 3. the RNG cursor;
+//! 4. the insert-batch log;
+//! 5. the tombstones, by strictly increasing cluster, each with strictly
+//!    increasing dead offsets;
+//! 6. the event count and the *carried* cost: annotation seconds charged
+//!    before the memo began, 0 for every session born on v2;
+//! 7. the memo in packed form ([`PackedMemo`]): the identified clusters,
+//!    then the labelled bits of exactly those clusters' raw ranges, packed
+//!    back to back. `cluster_full` is derived on decode, and no dense
+//!    bitset is written, so the memo costs about as many bytes as the
+//!    session has annotated, not as many as its population holds.
+//!
+//! The session's cost is the carried cost plus the memo's Definition 3
+//! charge. The label store is *not* serialized. Restore takes the base
+//! store from the registry's catalog and rebuilds only the *directory* of
+//! the logged batches (sizes and addresses); every logged cluster comes
+//! back pending and is labelled on first touch (or when a tombstone in it
+//! is re-applied). Labels are a pure function of the oracle seed, cluster
+//! and offset, so the revived session is byte-deterministic, and revival
+//! costs O(record) — the base copy plus the batch log — with no oracle
+//! call for untouched clusters. Decoders reject unknown versions,
+//! truncated payloads, and structurally inconsistent records (a memo
+//! cluster past the extent, labelled bits outside the identified
+//! clusters) with typed [`CodecError`]s; they never panic on hostile
+//! input, and no length prefix can make them allocate past the record.
+//!
+//! **v1 records** still decode. A v1 spec carries two reserved bytes
+//! after the kind: they once tagged an annotation engine and a reservoir
+//! offer path, so they must read `0` or `1` and are otherwise ignored.
+//! A v1 record has no memo and records the cost its session had charged,
+//! with memos that died at every request boundary. It revives with an
+//! empty memo and that cost carried: the estimate stream continues
+//! byte-identically, and the cost continues from the recorded figure,
+//! re-charging any triple the session labels again. Its next checkpoint
+//! is a v2 record.
 //!
 //! # Lifecycle: eviction, spill, revival
 //!
@@ -87,7 +118,7 @@ use crate::sharded::{ShardDesign, ShardReplayReport};
 use crate::spill::{CheckpointStore, SpillError};
 use kg_annotate::annotator::Annotator;
 use kg_annotate::cost::CostModel;
-use kg_annotate::dense::DenseAnnotator;
+use kg_annotate::dense::{DenseAnnotator, PackedMemo};
 use kg_annotate::label_store::LabelStore;
 use kg_annotate::oracle::{LabelOracle, RemOracle};
 use kg_model::implicit::ImplicitKg;
@@ -108,20 +139,38 @@ use std::sync::{Arc, Mutex};
 
 /// Magic bytes of a serialized session record.
 const MAGIC: [u8; 4] = *b"KGSN";
-/// Current session record version.
-const VERSION: u16 = 1;
+/// Current session record version: v2 carries the annotation memo.
+const VERSION: u16 = 2;
+/// The first session record version, still decoded (see the module docs).
+const V1: u16 = 1;
 
 const TAG_RESERVOIR: u8 = 0;
 const TAG_STRATIFIED: u8 = 1;
-/// The reserved v1 spec bytes (see the module docs): what encoders write,
-/// and the decode label of each.
-const RESERVED: [(u8, &str); 2] = [(0, "session.engine tag"), (1, "session.offer_mode tag")];
+/// The two reserved v1 spec bytes (see the module docs), by decode label.
+const V1_RESERVED: [&str; 2] = ["session.engine tag", "session.offer_mode tag"];
 
 /// Most cluster visits one [`SessionRegistry::audit`] may walk: 2^20, i.e.
 /// 4,096 shards. A replay sizes its per-shard results by the shard count,
 /// so an unbounded request could ask for more memory than the host has,
 /// and a failed allocation aborts the whole process.
 pub const MAX_AUDIT_UNITS: u64 = 1 << 20;
+
+/// Largest base cluster a spec may declare: 2^16 triples. A cluster is
+/// one entity's facts; a visit labels up to all of them.
+pub const MAX_CLUSTER_SIZE: u32 = 1 << 16;
+
+/// Most triples a spec's base KG may hold: 2^24. Registration labels
+/// every base triple into a packed store (2 MiB at the cap), and a
+/// failed allocation aborts the whole process.
+pub const MAX_BASE_TRIPLES: u64 = 1 << 24;
+
+/// Largest second-stage sample size `m`: a draw never takes more triples
+/// than its cluster holds, and sample buffers are sized by `m`.
+pub const MAX_M: usize = MAX_CLUSTER_SIZE as usize;
+
+/// Largest reservoir capacity `|R|`: 2^16 clusters. The reservoir is
+/// allocated at its capacity when the session registers.
+pub const MAX_RESERVOIR_CAPACITY: usize = 1 << 16;
 
 /// Which incremental evaluator a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +223,9 @@ pub struct EstimateReport {
     pub live_triples: u64,
     /// Events absorbed since registration.
     pub events_applied: u64,
-    /// Simulated human seconds spent so far. Upper bound across request
-    /// boundaries — see the module docs.
+    /// Simulated human seconds spent so far: Definition 3 over every
+    /// triple the session has annotated, each charged once (see the
+    /// module docs for sessions revived from `KGSN` v1 records).
     pub cumulative_cost_seconds: f64,
 }
 
@@ -317,48 +367,36 @@ struct Session {
     oracle: RemOracle,
     state: MonitorState,
     rng: StdRng,
-    /// Gross (insert-only) label record of the evolved population. Inserted
-    /// clusters stay pending until a request's annotator touches them.
-    /// Tombstones live in `merged_dead`, never in the store, so dense
-    /// replays of earlier batches stay byte-stable.
-    store: Arc<LabelStore>,
+    /// The session's one annotator, built at registration (or revival)
+    /// and kept for the session's life. It owns the gross (insert-only)
+    /// label store of the evolved population, whose inserted clusters
+    /// stay pending until first touch; the memo of everything annotated
+    /// so far; and the tombstones of every retraction.
+    annotator: DenseAnnotator,
     /// Delta sizes of every insert batch applied, in order.
     batch_log: Vec<Vec<u32>>,
-    /// Union of all retracted raw coordinates, per cluster.
-    merged_dead: BTreeMap<u32, BTreeSet<u32>>,
     events_applied: u64,
-    cost_seconds: f64,
+    /// Annotation seconds charged before the resident memo began: the
+    /// recorded cost of a `KGSN` v1 record, whose memo was never kept;
+    /// 0 for every other session.
+    carried_cost: f64,
 }
 
 impl Session {
-    fn dead_total(&self) -> u64 {
-        self.merged_dead.values().map(|s| s.len() as u64).sum()
+    fn store(&self) -> &LabelStore {
+        self.annotator.store()
     }
 
-    /// All tombstones accumulated so far as one retraction, re-applied to
-    /// each request's fresh annotator. The union reproduces the live
-    /// coordinate view of the uninterrupted stream exactly: per-cluster
-    /// dead-offset sets are order-independent.
-    fn merged_retraction(&self) -> Option<Retraction> {
-        if self.merged_dead.is_empty() {
-            return None;
-        }
-        let entries = self
-            .merged_dead
-            .iter()
-            .map(|(c, dead)| (*c, dead.iter().copied().collect::<Vec<u32>>()))
-            .collect();
-        Some(Retraction::new(entries).expect("merged tombstones are non-empty and deduplicated"))
+    /// Definition 3 over everything this session annotated.
+    fn cost_seconds(&self) -> f64 {
+        self.carried_cost + self.annotator.seconds()
     }
 
     /// Raw (at-insertion) size of a cluster in the session's gross
     /// population, or `None` past the current extent.
     fn raw_size(&self, cluster: usize) -> Option<u64> {
-        if cluster < self.store.num_clusters() {
-            Some(self.store.cluster_size(cluster) as u64)
-        } else {
-            None
-        }
+        let store = self.store();
+        (cluster < store.num_clusters()).then(|| store.cluster_size(cluster) as u64)
     }
 
     /// Reject events that address triples outside the session's gross
@@ -367,10 +405,12 @@ impl Session {
     /// later event may retract from a cluster minted by an earlier one.
     fn validate_events(&self, events: &[KgEvent]) -> Result<(), SessionError> {
         let mut pending_sizes: Vec<u32> = Vec::new();
-        // Offsets this request kills, checked alongside `merged_dead` so a
-        // request costs O(its own retractions), not O(session history).
+        // Offsets this request kills, checked alongside the annotator's
+        // tombstones so a request costs O(its own retractions), not
+        // O(session history).
         let mut killed: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        let base_clusters = self.store.num_clusters();
+        let base_clusters = self.store().num_clusters();
+        let tombs = self.annotator.tombstones();
         for event in events {
             if let Some(r) = event.retracted() {
                 for (cluster, offsets) in r.entries() {
@@ -385,7 +425,7 @@ impl Session {
                             "retraction targets a cluster past the population extent",
                         ));
                     };
-                    let dead = self.merged_dead.get(cluster);
+                    let dead = tombs.cluster(*cluster).unwrap_or(&[]);
                     let set = killed.entry(*cluster).or_default();
                     for &off in offsets.iter() {
                         if u64::from(off) >= raw {
@@ -393,7 +433,7 @@ impl Session {
                                 "retraction offset exceeds the cluster's raw size",
                             ));
                         }
-                        if dead.is_some_and(|d| d.contains(&off)) || !set.insert(off) {
+                        if dead.binary_search(&off).is_ok() || !set.insert(off) {
                             return Err(SessionError::InvalidEvent("triple is already retracted"));
                         }
                     }
@@ -406,41 +446,21 @@ impl Session {
         Ok(())
     }
 
-    /// Apply a request's events through a fresh annotator, then fold the
-    /// request back into owned state.
+    /// Apply a request's events through the session's resident
+    /// annotator, then fold the request back into owned state.
     fn apply_events(&mut self, events: &[KgEvent]) -> Result<EstimateReport, SessionError> {
         self.validate_events(events)?;
         let state = mem::replace(&mut self.state, placeholder_state());
         let mut monitor = Monitor::from_state(state, &self.spec);
-        let oracle: Arc<dyn LabelOracle + Send + Sync> = Arc::new(self.oracle);
-        // The annotator takes the store itself, not a second reference, so
-        // growth extends it in place once the session owns it alone.
-        let store = mem::take(&mut self.store);
-        let mut annotator = DenseAnnotator::growable(store, CostModel::default(), oracle);
-        if let Some(r) = self.merged_retraction() {
-            annotator.retract(&r);
-        }
         for event in events {
             monitor
                 .as_dyn_mut()
-                .apply_event(event, &mut annotator, &mut self.rng);
-        }
-        self.cost_seconds += annotator.seconds();
-        self.store = annotator.into_store();
-        for event in events {
-            if let Some(r) = event.retracted() {
-                for (cluster, offsets) in r.entries() {
-                    self.merged_dead
-                        .entry(*cluster)
-                        .or_default()
-                        .extend(offsets.iter().copied());
-                }
-            }
+                .apply_event(event, &mut self.annotator, &mut self.rng);
             if let Some(batch) = event.inserted() {
                 self.batch_log.push(batch.delta_sizes().to_vec());
             }
-            self.events_applied += 1;
         }
+        self.events_applied += events.len() as u64;
         self.state = monitor.into_state();
         Ok(self.report())
     }
@@ -460,13 +480,13 @@ impl Session {
                 .moe(self.spec.config.alpha)
                 .expect("alpha is validated at registration"),
             saturated,
-            live_triples: self.store.total_triples() - self.dead_total(),
+            live_triples: self.store().total_triples() - self.annotator.tombstones().dead_total(),
             events_applied: self.events_applied,
-            cumulative_cost_seconds: self.cost_seconds,
+            cumulative_cost_seconds: self.cost_seconds(),
         }
     }
 
-    /// Serialize the session as a `KGSN` v1 record.
+    /// Serialize the session as a `KGSN` v2 record.
     fn checkpoint(&self) -> Vec<u8> {
         let mut e = Encoder::with_header(MAGIC, VERSION);
         put_spec(&mut e, &self.spec);
@@ -478,14 +498,18 @@ impl Session {
         for sizes in &self.batch_log {
             e.put_u32_slice(sizes);
         }
-        e.put_usize(self.merged_dead.len());
-        for (cluster, dead) in &self.merged_dead {
-            e.put_u32(*cluster);
-            let offsets: Vec<u32> = dead.iter().copied().collect();
-            e.put_u32_slice(&offsets);
+        let mut dead: Vec<(u32, &[u32])> = self.annotator.tombstones().iter().collect();
+        dead.sort_unstable_by_key(|&(cluster, _)| cluster);
+        e.put_usize(dead.len());
+        for (cluster, offsets) in dead {
+            e.put_u32(cluster);
+            e.put_u32_slice(offsets);
         }
         e.put_u64(self.events_applied);
-        e.put_f64(self.cost_seconds);
+        e.put_f64(self.carried_cost);
+        let memo = self.annotator.pack_memo();
+        e.put_u32_slice(&memo.identified);
+        e.put_u64_slice(&memo.labelled);
         e.finish()
     }
 
@@ -493,24 +517,27 @@ impl Session {
     /// live sizes (gross minus tombstones), with the mapping back to raw
     /// storage coordinates. Clusters with no live triples are dropped.
     fn live_view(&self) -> LiveView {
-        let clusters = self.store.num_clusters();
+        let store = self.store();
+        let tombs = self.annotator.tombstones();
+        let clusters = store.num_clusters();
         let mut sizes = Vec::with_capacity(clusters);
         let mut raw_cluster = Vec::with_capacity(clusters);
         let mut dead: Vec<Arc<[u32]>> = Vec::with_capacity(clusters);
         let empty: Arc<[u32]> = Arc::from(&[][..]);
         for c in 0..clusters {
-            let raw = self.store.cluster_size(c) as u64;
-            let dead_set = self.merged_dead.get(&(c as u32));
+            let raw = store.cluster_size(c) as u64;
+            let dead_set = if tombs.is_empty() {
+                None
+            } else {
+                tombs.cluster(c as u32)
+            };
             let live = raw - dead_set.map_or(0, |s| s.len() as u64);
             if live == 0 {
                 continue;
             }
             sizes.push(live as u32);
             raw_cluster.push(c as u32);
-            dead.push(match dead_set {
-                Some(s) => s.iter().copied().collect::<Vec<u32>>().into(),
-                None => empty.clone(),
-            });
+            dead.push(dead_set.map_or_else(|| empty.clone(), Arc::from));
         }
         LiveView {
             sizes,
@@ -559,9 +586,6 @@ fn put_spec(e: &mut Encoder, spec: &SessionSpec) {
         }
         EvaluatorKind::Stratified => e.put_u8(TAG_STRATIFIED),
     }
-    for (byte, _) in RESERVED {
-        e.put_u8(byte);
-    }
     e.put_usize(spec.m);
     e.put_f64(spec.config.alpha);
     e.put_f64(spec.config.target_moe);
@@ -574,7 +598,7 @@ fn put_spec(e: &mut Encoder, spec: &SessionSpec) {
     e.put_u32_slice(&spec.base_sizes);
 }
 
-fn get_spec(d: &mut Decoder<'_>) -> Result<SessionSpec, CodecError> {
+fn get_spec(d: &mut Decoder<'_>, version: u16) -> Result<SessionSpec, CodecError> {
     let kind = match d.get_u8("session.kind")? {
         TAG_RESERVOIR => EvaluatorKind::Reservoir {
             capacity: d.get_usize("session.capacity")?,
@@ -586,9 +610,11 @@ fn get_spec(d: &mut Decoder<'_>) -> Result<SessionSpec, CodecError> {
             })
         }
     };
-    for (_, what) in RESERVED {
-        if d.get_u8(what)? > 1 {
-            return Err(CodecError::Invalid { what });
+    if version == V1 {
+        for what in V1_RESERVED {
+            if d.get_u8(what)? > 1 {
+                return Err(CodecError::Invalid { what });
+            }
         }
     }
     let m = d.get_usize("session.m")?;
@@ -621,23 +647,27 @@ struct SessionRecord {
     state: MonitorState,
     rng: [u64; 4],
     batch_log: Vec<Vec<u32>>,
-    merged_dead: BTreeMap<u32, BTreeSet<u32>>,
+    /// Tombstones: strictly increasing clusters, each with strictly
+    /// increasing dead offsets.
+    dead: Vec<(u32, Vec<u32>)>,
     events_applied: u64,
-    cost_seconds: f64,
+    carried_cost: f64,
+    /// Empty for a v1 record.
+    memo: PackedMemo,
 }
 
 impl SessionRecord {
     fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut d = Decoder::new(bytes);
         let version = d.expect_header(MAGIC)?;
-        if version != VERSION {
+        if version != VERSION && version != V1 {
             return Err(CodecError::UnsupportedVersion {
                 magic: MAGIC,
                 found: version,
                 supported: VERSION,
             });
         }
-        let spec = get_spec(&mut d)?;
+        let spec = get_spec(&mut d, version)?;
         let state = MonitorState::restore_from(&mut d)?;
         match (&spec.kind, &state) {
             (EvaluatorKind::Reservoir { .. }, MonitorState::Reservoir(_))
@@ -686,8 +716,8 @@ impl SessionRecord {
                 what: "session state extent disagrees with base + batch log",
             });
         }
-        let num_dead = d.get_len(16, "session.merged_dead")?;
-        let mut merged_dead: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        let num_dead = d.get_len(16, "session.tombstones")?;
+        let mut dead = Vec::with_capacity(num_dead);
         let mut prev_cluster: Option<u32> = None;
         for _ in 0..num_dead {
             let cluster = d.get_u32("session.dead_cluster")?;
@@ -708,14 +738,19 @@ impl SessionRecord {
                     what: "session tombstone offsets must be strictly increasing",
                 });
             }
-            merged_dead.insert(cluster, offsets.into_iter().collect());
+            dead.push((cluster, offsets));
         }
         let events_applied = d.get_u64("session.events_applied")?;
-        let cost_seconds = d.get_f64("session.cost_seconds")?;
-        if !cost_seconds.is_finite() || cost_seconds < 0.0 {
+        let carried_cost = d.get_f64("session.cost_seconds")?;
+        if !carried_cost.is_finite() || carried_cost < 0.0 {
             return Err(CodecError::Invalid {
                 what: "session cost must be finite and non-negative",
             });
+        }
+        let mut memo = PackedMemo::default();
+        if version == VERSION {
+            memo.identified = d.get_u32_vec("session.memo_clusters")?;
+            memo.labelled = d.get_u64_vec("session.memo_labels")?;
         }
         d.finish()?;
         Ok(SessionRecord {
@@ -723,24 +758,39 @@ impl SessionRecord {
             state,
             rng,
             batch_log,
-            merged_dead,
+            dead,
             events_applied,
-            cost_seconds,
+            carried_cost,
+            memo,
         })
     }
 }
 
+/// Check a spec before anything is allocated for it: every field the
+/// session sizes memory by is bounded (see [`MAX_CLUSTER_SIZE`],
+/// [`MAX_BASE_TRIPLES`], [`MAX_M`], [`MAX_RESERVOIR_CAPACITY`]).
 fn validate_spec(spec: &SessionSpec) -> Result<(), SessionError> {
     if spec.base_sizes.is_empty() {
         return Err(SessionError::InvalidSpec("base KG must have clusters"));
     }
-    if spec.m == 0 {
-        return Err(SessionError::InvalidSpec("m must be at least 1"));
+    if spec.base_sizes.iter().any(|&s| s > MAX_CLUSTER_SIZE) {
+        return Err(SessionError::InvalidSpec(
+            "a base cluster exceeds MAX_CLUSTER_SIZE (65536) triples",
+        ));
+    }
+    let triples: u64 = spec.base_sizes.iter().map(|&s| u64::from(s)).sum();
+    if triples > MAX_BASE_TRIPLES {
+        return Err(SessionError::InvalidSpec(
+            "the base KG exceeds MAX_BASE_TRIPLES (16777216) triples",
+        ));
+    }
+    if spec.m == 0 || spec.m > MAX_M {
+        return Err(SessionError::InvalidSpec("m must lie in [1, 65536]"));
     }
     if let EvaluatorKind::Reservoir { capacity } = spec.kind {
-        if capacity == 0 {
+        if capacity == 0 || capacity > MAX_RESERVOIR_CAPACITY {
             return Err(SessionError::InvalidSpec(
-                "reservoir capacity must be at least 1",
+                "reservoir capacity must lie in [1, 65536]",
             ));
         }
     }
@@ -1096,24 +1146,31 @@ impl SessionRegistry {
             }
             store = Arc::new(grown);
         }
-        for (cluster, dead) in &record.merged_dead {
+        for (cluster, dead) in &record.dead {
             let raw = store.cluster_size(*cluster as usize) as u64;
-            if dead.iter().any(|&off| u64::from(off) >= raw) {
+            if dead.last().is_some_and(|&off| u64::from(off) >= raw) {
                 return Err(SessionError::Codec(CodecError::Invalid {
                     what: "session tombstone offset exceeds its cluster's raw size",
                 }));
             }
+        }
+        let mut annotator = resident_annotator(store, oracle);
+        annotator
+            .restore_memo(&record.memo)
+            .map_err(|e| CodecError::Invalid { what: e.what() })?;
+        if !record.dead.is_empty() {
+            let dead = Retraction::new(record.dead)?;
+            annotator.retract(&dead);
         }
         Ok(Session {
             spec: record.spec,
             oracle,
             state: record.state,
             rng: StdRng::from_state(record.rng),
-            store,
+            annotator,
             batch_log: record.batch_log,
-            merged_dead: record.merged_dead,
             events_applied: record.events_applied,
-            cost_seconds: record.cost_seconds,
+            carried_cost: record.carried_cost,
         })
     }
 
@@ -1300,18 +1357,17 @@ impl SessionRegistry {
         let base = ImplicitKg::new(spec.base_sizes.clone())?;
         let store = self.catalog_store(&spec, &base, &oracle);
         let mut rng = StdRng::seed_from_u64(spec.seed);
-        let mut annotator = DenseAnnotator::new(store, CostModel::default());
+        let mut annotator = resident_annotator(store, oracle);
         let state = Self::evaluate_base(&spec, &base, &oracle, &mut annotator, &mut rng)?;
         let id = self.insert(Session {
             spec,
             oracle,
             state,
             rng,
-            cost_seconds: annotator.seconds(),
-            store: annotator.into_store(),
+            annotator,
             batch_log: Vec::new(),
-            merged_dead: BTreeMap::new(),
             events_applied: 0,
+            carried_cost: 0.0,
         });
         if self.policy.write_through {
             if let Ok(guard) = self.acquire(id) {
@@ -1375,7 +1431,7 @@ impl SessionRegistry {
         Ok(report)
     }
 
-    /// Serialize a session as a `KGSN` v1 checkpoint. The session stays
+    /// Serialize a session as a `KGSN` v2 checkpoint. The session stays
     /// live; restoring the bytes elsewhere resumes its exact estimate
     /// stream.
     pub fn checkpoint(&self, id: u64) -> Result<Vec<u8>, SessionError> {
@@ -1387,7 +1443,7 @@ impl SessionRegistry {
     }
 
     /// Full-fidelity sharded audit of the session's **live** population:
-    /// base plus every insert batch, with the merged tombstone map folded
+    /// base plus every insert batch, with the session's tombstones folded
     /// in, so the audit measures exactly the live-view quantity the
     /// monitor estimate tracks. Live sample coordinates are mapped back to
     /// raw storage offsets through the same [`map_live_offset`] walk the
@@ -1425,6 +1481,12 @@ impl SessionRegistry {
     }
 }
 
+/// A session's resident annotator over `store`, labelling inserted
+/// clusters from the session's oracle on first touch.
+fn resident_annotator(store: Arc<LabelStore>, oracle: RemOracle) -> DenseAnnotator {
+    DenseAnnotator::resident(store, CostModel::default(), Arc::new(oracle))
+}
+
 /// Encode a session and save it to the store, both under the session's
 /// mutex. Every save of a session goes through here, so saves of one id
 /// never overlap (the store rewrites one of two slots per id in place)
@@ -1438,6 +1500,7 @@ fn persist(store: &CheckpointStore, id: u64, session: &Mutex<Session>) -> std::i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::monitor::run_event_sequence;
 
     fn rs_spec() -> SessionSpec {
         SessionSpec {
@@ -1470,13 +1533,74 @@ mod tests {
         ]
     }
 
-    fn bits(r: &EstimateReport) -> (u64, u64, usize, bool) {
+    /// Estimate and cost bits of a report.
+    fn bits(r: &EstimateReport) -> (u64, u64, usize, bool, u64) {
         (
             r.mean.to_bits(),
             r.var_of_mean.to_bits(),
             r.units,
             r.saturated,
+            r.cumulative_cost_seconds.to_bits(),
         )
+    }
+
+    /// Definition 3 cost of the uninterrupted monitor: the spec's
+    /// evaluator evaluates the base and then runs `events` through
+    /// `run_event_sequence`, with one annotator kept for the whole run.
+    fn monitor_cost(spec: &SessionSpec, events: &[KgEvent]) -> u64 {
+        let oracle = RemOracle::new(spec.oracle_accuracy, spec.oracle_seed);
+        let base = ImplicitKg::new(spec.base_sizes.clone()).unwrap();
+        let store = Arc::new(LabelStore::materialize(&base, &oracle));
+        let mut annotator = DenseAnnotator::growable(store, CostModel::default(), Arc::new(oracle));
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let state =
+            SessionRegistry::evaluate_base(spec, &base, &oracle, &mut annotator, &mut rng).unwrap();
+        let mut monitor = Monitor::from_state(state, spec);
+        run_event_sequence(
+            monitor.as_dyn_mut(),
+            events,
+            spec.config.alpha,
+            &mut annotator,
+            &mut rng,
+        );
+        annotator.seconds().to_bits()
+    }
+
+    fn cost_bits(r: &EstimateReport) -> u64 {
+        r.cumulative_cost_seconds.to_bits()
+    }
+
+    #[test]
+    fn served_cost_is_the_uninterrupted_monitors_cost_under_churn() {
+        // Insert/retract/revise churn, one event per request, and again
+        // with the whole stream in one request: each charges every triple
+        // once, as the one-annotator monitor does.
+        for spec in [rs_spec(), ss_spec()] {
+            let events = stream();
+            let want = monitor_cost(&spec, &events);
+            let registry = SessionRegistry::new();
+            let split = registry.register(spec.clone()).unwrap();
+            let whole = registry.register(spec.clone()).unwrap();
+            let mut last = None;
+            for event in &events {
+                last = Some(
+                    registry
+                        .apply_events(split, std::slice::from_ref(event))
+                        .unwrap(),
+                );
+            }
+            let all = registry.apply_events(whole, &events).unwrap();
+            assert_eq!(cost_bits(&last.unwrap()), want, "{:?} split", spec.kind);
+            assert_eq!(cost_bits(&all), want, "{:?} whole", spec.kind);
+            // The base evaluation is charged too, and reads never charge.
+            let fresh = registry.register(spec.clone()).unwrap();
+            assert_eq!(
+                cost_bits(&registry.estimate(fresh).unwrap()),
+                monitor_cost(&spec, &[]),
+                "{:?} base",
+                spec.kind
+            );
+        }
     }
 
     #[test]
@@ -1532,12 +1656,15 @@ mod tests {
                 ));
             }
             assert_eq!(got, want, "restored stream diverged ({:?})", spec.kind);
-            // The restored session checkpoints byte-identically to a
-            // fresh checkpoint of the uninterrupted session only after
-            // costs agree — compare the estimate surface instead.
+            // The memo crossed the restore: costs agree bit for bit, with
+            // each other and with the uninterrupted monitor, and so do the
+            // two sessions' checkpoints.
+            let restored = second.estimate(id2).unwrap();
+            assert_eq!(bits(&restored), bits(&full.estimate(id).unwrap()));
+            assert_eq!(cost_bits(&restored), monitor_cost(&spec, &events));
             assert_eq!(
-                bits(&second.estimate(id2).unwrap()),
-                bits(&full.estimate(id).unwrap())
+                second.checkpoint(id2).unwrap(),
+                full.checkpoint(id).unwrap()
             );
         }
     }
@@ -1554,7 +1681,9 @@ mod tests {
         for event in &events {
             last = Some(split.apply_events(b, std::slice::from_ref(event)).unwrap());
         }
+        // Estimate and cost bits alike.
         assert_eq!(bits(&all), bits(&last.unwrap()));
+        assert_eq!(cost_bits(&all), monitor_cost(&rs_spec(), &events));
     }
 
     #[test]
@@ -1651,6 +1780,60 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(registry.restore(&long).is_err());
+
+        // Hostile memo sections. The memo closes the record: the
+        // identified clusters (u64 count, u32 ids), then the labelled words
+        // (u64 count, u64 words).
+        let memo = resident(&registry, id, |s| s.annotator.pack_memo());
+        let extent = resident(&registry, id, |s| s.store().num_clusters());
+        let (k, w) = (memo.identified.len(), memo.labelled.len());
+        assert!(k > 1 && w > 0, "the churn stream annotates");
+        let ids_at = bytes.len() - (8 + 4 * k + 8 + 8 * w);
+        let words_at = ids_at + 8 + 4 * k;
+        let invalid = |bad: &[u8], want: &str| match registry.restore(bad) {
+            Err(SessionError::Codec(CodecError::Invalid { what })) => {
+                assert!(what.contains(want), "{what}")
+            }
+            other => panic!("{want}: {other:?}"),
+        };
+        // A length past the record, in either section.
+        for at in [ids_at, words_at] {
+            for claimed in [u64::MAX, (bytes.len() - at) as u64] {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+                assert!(matches!(
+                    registry.restore(&bad),
+                    Err(SessionError::Codec(CodecError::LengthOverflow { .. }))
+                ));
+            }
+        }
+        // An identified cluster past the population extent.
+        let mut bad = bytes.clone();
+        let last = words_at - 4;
+        bad[last..words_at].copy_from_slice(&(extent as u32).to_le_bytes());
+        invalid(&bad, "past the population extent");
+        // Identified clusters out of order.
+        let mut bad = bytes.clone();
+        bad.copy_within(ids_at + 8..ids_at + 12, ids_at + 12);
+        invalid(&bad, "strictly increasing");
+        // Labelled bits for a cluster that was not identified: a word past
+        // the identified ranges, or a padding bit of the last word.
+        let mut bad = bytes.clone();
+        bad[words_at..words_at + 8].copy_from_slice(&(w as u64 + 1).to_le_bytes());
+        bad.extend_from_slice(&1u64.to_le_bytes());
+        invalid(&bad, "cover exactly the identified clusters");
+        let bits: u64 = memo
+            .identified
+            .iter()
+            .map(|&c| resident(&registry, id, |s| s.store().cluster_size(c as usize)) as u64)
+            .sum();
+        if !bits.is_multiple_of(64) {
+            let mut bad = bytes.clone();
+            let top = bad.len() - 1;
+            bad[top] |= 0x80;
+            invalid(&bad, "not identified");
+        }
+        assert_eq!(registry.len(), 1, "no hostile record was adopted");
     }
 
     #[test]
@@ -1725,6 +1908,26 @@ mod tests {
             registry.register(bad),
             Err(SessionError::InvalidSpec(_))
         ));
+        // One past each bound on what a spec may make a session allocate.
+        let over: [fn(&mut SessionSpec); 4] = [
+            |s| s.base_sizes[0] = MAX_CLUSTER_SIZE + 1,
+            |s| s.base_sizes = vec![MAX_CLUSTER_SIZE; 257],
+            |s| s.m = MAX_M + 1,
+            |s| {
+                s.kind = EvaluatorKind::Reservoir {
+                    capacity: MAX_RESERVOIR_CAPACITY + 1,
+                }
+            },
+        ];
+        for breach in over {
+            let mut bad = rs_spec();
+            breach(&mut bad);
+            assert!(matches!(
+                registry.register(bad),
+                Err(SessionError::InvalidSpec(_))
+            ));
+        }
+        assert_eq!(257 * u64::from(MAX_CLUSTER_SIZE), MAX_BASE_TRIPLES + 65536);
         assert!(registry.is_empty());
         assert!(matches!(
             registry.estimate(77),
@@ -1784,6 +1987,16 @@ mod tests {
                 bits(&got_b),
                 bits(&want_b),
                 "eviction churn changed tenant B"
+            );
+        }
+        // Each tenant's memo crossed every spill: its cost is the
+        // uninterrupted monitor's.
+        for (id, spec) in [(a, rs_spec()), (b, ss_spec())] {
+            assert_eq!(
+                cost_bits(&churned.estimate(id).unwrap()),
+                monitor_cost(&spec, &stream()),
+                "{:?}",
+                spec.kind
             );
         }
         let stats = churned.stats();
@@ -2051,17 +2264,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `(pending clusters, clusters)` of a resident session's label store.
-    fn store_fill(registry: &SessionRegistry, id: u64) -> (usize, usize) {
+    /// `f` of a resident session.
+    fn resident<T>(registry: &SessionRegistry, id: u64, f: impl FnOnce(&Session) -> T) -> T {
         let sessions = registry.sessions.lock().unwrap();
         let Some(Slot::Live(slot)) = sessions.get(&id) else {
             panic!("session {id} is not resident");
         };
         let session = slot.session.lock().unwrap();
-        (
-            session.store.pending_clusters(),
-            session.store.num_clusters(),
-        )
+        f(&session)
+    }
+
+    /// `(pending clusters, clusters)` of a resident session's label store.
+    fn store_fill(registry: &SessionRegistry, id: u64) -> (usize, usize) {
+        resident(registry, id, |s| {
+            (s.store().pending_clusters(), s.store().num_clusters())
+        })
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `KGSN` v1 compatibility: records written while sessions could still
-//! pick an annotation engine and a reservoir offer path must keep
-//! restoring and continuing byte-identically, now that every session runs
-//! the dense engine on the batched path.
+//! pick an annotation engine and a reservoir offer path, and before
+//! sessions kept their annotation memo, must keep restoring and
+//! continuing byte-identically, now that every session runs one resident
+//! dense annotator on the batched path and checkpoints as `KGSN` v2.
 //!
 //! The fixtures under `tests/fixtures/kgsn_v1/` were generated at commit
 //! `d37b21b`, the last one whose `SessionSpec` carried `engine` and
@@ -138,8 +139,19 @@ fn parent_records_restore_and_continue_byte_identically() {
     }
 }
 
+/// The recorded cumulative cost of a v1 record: its last 8 bytes.
+fn recorded_cost_bits(v1: &[u8]) -> u64 {
+    u64::from_le_bytes(v1[v1.len() - 8..].try_into().unwrap())
+}
+
 #[test]
-fn default_spec_checkpoints_keep_the_parent_bytes() {
+fn default_spec_checkpoints_keep_the_parent_fields() {
+    // A v2 record is the v1 record with version 2, without the two
+    // reserved spec bytes, with the cost field holding the carried cost
+    // (0 for a session registered on v2) and with the memo appended. So
+    // every field the estimate stream depends on — spec, monitor state,
+    // RNG cursor, batch log, tombstones, event count — keeps the parent's
+    // bytes.
     for f in FIXTURES
         .iter()
         .filter(|f| matches!(f.name, "rs_hash_batched" | "ss_hash"))
@@ -151,9 +163,64 @@ fn default_spec_checkpoints_keep_the_parent_bytes() {
                 .apply_events(id, std::slice::from_ref(event))
                 .unwrap();
         }
+        let v1 = bytes(f);
+        let at = reserved_at(f.kind);
+        let mut want = v1[..4].to_vec();
+        want.extend_from_slice(&2u16.to_le_bytes());
+        want.extend_from_slice(&v1[6..at]);
+        want.extend_from_slice(&v1[at + 2..v1.len() - 8]);
+        want.extend_from_slice(&0f64.to_bits().to_le_bytes());
+        let v2 = registry.checkpoint(id).unwrap();
+        assert!(v2.starts_with(&want), "{} fields changed", f.name);
+        let memo = &v2[want.len()..];
+        let identified = u64::from_le_bytes(memo[..8].try_into().unwrap());
+        assert!(identified > 0, "{}: the memo is empty", f.name);
+    }
+}
+
+#[test]
+fn v1_records_revive_with_an_empty_memo_and_their_recorded_cost() {
+    // A v1 record kept no memo, so the revived session starts one empty
+    // and adds what it charges from then on to the record's cost.
+    let events = stream();
+    for f in &FIXTURES {
+        let v1 = bytes(f);
+        let registry = SessionRegistry::new();
+        let id = registry.restore(&v1).unwrap();
+        let revived = registry.estimate(id).unwrap();
+        assert_eq!(
+            revived.cumulative_cost_seconds.to_bits(),
+            recorded_cost_bits(&v1),
+            "{}: the recorded cost is lost",
+            f.name
+        );
+        // Re-encoded as v2: the cost field carries the recorded cost and
+        // both memo sections are empty (two zero lengths).
+        let v2 = registry.checkpoint(id).unwrap();
+        assert_eq!(v2[4..6], 2u16.to_le_bytes(), "{}", f.name);
+        assert_eq!(v2[v2.len() - 16..], [0u8; 16], "{}: memo", f.name);
+        assert_eq!(
+            recorded_cost_bits(&v2[..v2.len() - 16]),
+            recorded_cost_bits(&v1),
+            "{}: carried cost",
+            f.name
+        );
+        // The v2 record of the revived session continues exactly like the
+        // revived session itself, cost included.
+        let again = registry.restore(&v2).unwrap();
+        for event in &events[CHECKPOINT_AFTER..] {
+            let a = registry
+                .apply_events(id, std::slice::from_ref(event))
+                .unwrap();
+            let b = registry
+                .apply_events(again, std::slice::from_ref(event))
+                .unwrap();
+            assert_eq!(a, b, "{}: v2 re-encoding diverged", f.name);
+        }
+        let after = registry.estimate(id).unwrap().cumulative_cost_seconds;
         assert!(
-            registry.checkpoint(id).unwrap() == bytes(f),
-            "{} bytes changed",
+            after > revived.cumulative_cost_seconds,
+            "{}: later annotation was not charged on top",
             f.name
         );
     }

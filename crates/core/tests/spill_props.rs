@@ -11,13 +11,20 @@
 //!    co-tenant sessions are untouched.
 //! 3. **The store moves arbitrary bytes faithfully** — save/load/ids
 //!    round-trip any payload (the atomic-write layer is content-blind).
+//! 4. **Hostile memo sections fail typed** — a `KGSN` v2 record whose
+//!    annotation memo claims a length past the record, an identified
+//!    cluster past the extent, or labelled bits outside the identified
+//!    clusters fails to revive with a typed error, and the co-tenant is
+//!    untouched.
 
+use kg_annotate::cost::CostModel;
 use kg_eval::session::{
     EvaluatorKind, LifecyclePolicy, SessionError, SessionRegistry, SessionSpec,
 };
 use kg_eval::{CheckpointStore, EvalConfig, TrialExecutor};
 use kg_model::retract::{KgEvent, Retraction};
 use kg_model::update::UpdateBatch;
+use kg_stats::codec::CodecError;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,6 +98,44 @@ fn bits(registry: &SessionRegistry, id: u64) -> (u64, u64, usize, u64) {
         r.units,
         r.events_applied,
     )
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Locate the memo that closes a `KGSN` v2 record of a session
+/// registered on v2: `(identified count offset, identified, words count
+/// offset, words)`. The memo follows the carried cost, which is 0.0 for
+/// such a session, and the served cost is c1 per identified cluster plus
+/// c2 per labelled bit; the layout is the one whose counts agree with all
+/// of that.
+fn memo_layout(bytes: &[u8], cost_seconds: f64) -> (usize, usize, usize, usize) {
+    let cost = CostModel::default();
+    for w in 0..bytes.len() / 8 {
+        let Some(words_at) = bytes.len().checked_sub(8 + 8 * w) else {
+            break;
+        };
+        if u64_at(bytes, words_at) != w as u64 {
+            continue;
+        }
+        let labelled: u32 = (0..w)
+            .map(|i| u64_at(bytes, words_at + 8 + 8 * i).count_ones())
+            .sum();
+        for k in 0..words_at / 4 {
+            let Some(ids_at) = words_at.checked_sub(8 + 4 * k) else {
+                break;
+            };
+            if ids_at >= 8
+                && u64_at(bytes, ids_at) == k as u64
+                && u64_at(bytes, ids_at - 8) == 0f64.to_bits()
+                && k as f64 * cost.c1 + f64::from(labelled) * cost.c2 == cost_seconds
+            {
+                return (ids_at, k, words_at, w);
+            }
+        }
+    }
+    panic!("no memo layout matches the record");
 }
 
 proptest! {
@@ -204,6 +249,70 @@ proptest! {
         prop_assert_eq!(registry.recover_from_store().expect("recover"), 1);
         let _ = registry.estimate(victim); // typed error or valid decode; never a panic
         prop_assert_eq!(bits(&registry, cotenant), cotenant_bits);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_memo_sections_fail_typed(
+        base_sizes in prop::collection::vec(1u32..6, 4..24),
+        ops in prop::collection::vec(
+            (any::<bool>(), any::<u8>(), prop::collection::vec(1u32..5, 1..8)),
+            0..6,
+        ),
+        seed in any::<u64>(),
+        stratified in any::<bool>(),
+        pick in any::<u64>(),
+    ) {
+        let dir = scratch();
+        let registry = registry_with_store(&dir);
+        let victim = registry
+            .register(spec_from(base_sizes.clone(), seed, stratified))
+            .expect("register victim");
+        let cotenant = registry
+            .register(spec_from(base_sizes.clone(), seed ^ 0x5A5A, !stratified))
+            .expect("register cotenant");
+        let (events, _) = events_from(&base_sizes, &ops);
+        for event in &events {
+            registry.apply_events(victim, std::slice::from_ref(event)).expect("apply");
+        }
+        let cotenant_bits = bits(&registry, cotenant);
+        let cost = registry.estimate(victim).expect("estimate").cumulative_cost_seconds;
+        let record = registry.checkpoint(victim).expect("checkpoint");
+        let (ids_at, k, words_at, w) = memo_layout(&record, cost);
+        prop_assert!(k > 0 && w > 0, "the base evaluation annotates");
+
+        let mut hostile: Vec<(Vec<u8>, bool)> = Vec::new();
+        // A length past the record, in either section: typed before any
+        // allocation.
+        let at = if pick.is_multiple_of(2) { ids_at } else { words_at };
+        let mut bad = record.clone();
+        let claimed = (record.len() - at) as u64 + (pick >> 1) % 1024;
+        bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+        hostile.push((bad, true));
+        // An identified cluster past the extent.
+        let mut bad = record.clone();
+        bad[words_at - 4..words_at].copy_from_slice(&u32::MAX.to_le_bytes());
+        hostile.push((bad, false));
+        // Labelled bits of a cluster that was never identified: one more
+        // word than the identified ranges need.
+        let mut bad = record.clone();
+        bad[words_at..words_at + 8].copy_from_slice(&(w as u64 + 1).to_le_bytes());
+        bad.extend_from_slice(&(1u64 << (pick % 64)).to_le_bytes());
+        hostile.push((bad, false));
+
+        prop_assert!(registry.evict(victim).expect("evict"));
+        let store = registry.store().unwrap();
+        for (bad, length) in hostile {
+            store.save(victim, &bad).expect("plant hostile record");
+            registry.recover_from_store().expect("recover");
+            match registry.estimate(victim) {
+                Err(SessionError::Codec(CodecError::LengthOverflow { .. })) if length => {}
+                Err(SessionError::Codec(CodecError::Invalid { .. })) if !length => {}
+                other => prop_assert!(false, "hostile memo must fail typed, got {other:?}"),
+            }
+            prop_assert!(!registry.store().unwrap().contains(victim));
+            prop_assert_eq!(bits(&registry, cotenant), cotenant_bits);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -147,7 +147,9 @@ impl KgEvent {
 ///
 /// Both annotation engines hold one of these as **trial** state (cleared on
 /// replay reset) and consult it when translating live sampling coordinates
-/// to raw storage coordinates — see [`map_live_offset`].
+/// to raw storage coordinates — see [`map_live_offset`]. A served session's
+/// resident arena keeps one for the session's whole life, as the session's
+/// only record of what died.
 #[derive(Debug, Clone, Default)]
 pub struct TombstoneMap {
     per_cluster: HashMap<u32, Vec<u32>>,
@@ -185,6 +187,12 @@ impl TombstoneMap {
     /// Number of dead triples in `cluster`.
     pub fn dead_in(&self, cluster: u32) -> u64 {
         self.per_cluster.get(&cluster).map_or(0, |v| v.len() as u64)
+    }
+
+    /// Every cluster with tombstones and its sorted dead offsets, in no
+    /// particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.per_cluster.iter().map(|(&c, v)| (c, v.as_slice()))
     }
 
     /// Total dead triples across all clusters.

@@ -516,6 +516,42 @@ mod tests {
     }
 
     #[test]
+    fn oversized_specs_are_refused_before_any_allocation() {
+        // Each body once made registration allocate gigabytes (a failed
+        // allocation aborts the process) or label 1.6·10^10 triples.
+        let registry = SessionRegistry::new();
+        let small = r#""base_sizes":[3,1,4,1,5,9,2,6,5,3]"#;
+        let hostile = [
+            r#"{"kind":"stratified","oracle_accuracy":0.9,"base_sizes":[4000000000,4000000000,4000000000,4000000000]}"#.to_string(),
+            format!(r#"{{"kind":"reservoir","capacity":40,"m":9007199254740991,"oracle_accuracy":0.9,{small}}}"#),
+            format!(r#"{{"kind":"stratified","m":9007199254740991,"oracle_accuracy":0.9,{small}}}"#),
+            format!(r#"{{"kind":"reservoir","capacity":9007199254740991,"oracle_accuracy":0.9,{small}}}"#),
+        ];
+        for body in &hostile {
+            let start = std::time::Instant::now();
+            let (status, reply) = handle(&registry, &request("POST", "/kg", body));
+            let took = start.elapsed();
+            assert_eq!(status, 400, "{body}: {reply}");
+            assert!(
+                reply.to_string().contains("invalid session spec"),
+                "{body}: {reply}"
+            );
+            assert!(took.as_millis() < 100, "{body}: answered in {took:?}");
+        }
+        assert!(registry.is_empty());
+        // The registry serves its next request.
+        let fine = format!(r#"{{"kind":"reservoir","capacity":40,"oracle_accuracy":0.9,{small}}}"#);
+        let (status, reply) = handle(&registry, &request("POST", "/kg", &fine));
+        assert_eq!(status, 200, "{reply}");
+        let id = reply.get("id").unwrap().as_u64().unwrap();
+        let (status, reply) = handle(
+            &registry,
+            &request("GET", &format!("/kg/{id}/estimate"), ""),
+        );
+        assert_eq!(status, 200, "{reply}");
+    }
+
+    #[test]
     fn unknown_sessions_and_routes_are_distinguished() {
         let registry = SessionRegistry::new();
         let (status, _) = handle(&registry, &request("GET", "/kg/99/estimate", ""));
